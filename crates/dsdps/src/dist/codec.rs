@@ -438,16 +438,16 @@ pub struct WireResult {
     pub emissions: Vec<WireEmission>,
 }
 
-/// Frame tag of `TupleBatch`, exposed so the transport's batching writer
-/// can encode a batch incrementally (tag, count, then items one by one as
-/// they drain) without materializing a `Frame` first.
+/// Frame tag of `TupleBatch`, exposed so the coordinator can encode a
+/// batch in place (tag, count, then [`write_tuple_parts`] per item) without
+/// materializing a `Frame` first.
 pub const TUPLE_BATCH_TAG: u8 = 3;
 
 const T_HELLO: u8 = 1;
 const T_ASSIGN: u8 = 2;
 const T_TUPLE_BATCH: u8 = TUPLE_BATCH_TAG;
 const T_RESULT_BATCH: u8 = 4;
-const T_CREDIT_GRANT: u8 = 5;
+// Tag 5 is unassigned.
 const T_CHECKPOINT: u8 = 6;
 const T_ACK_FLUSH: u8 = 7;
 const T_RESTORE: u8 = 8;
@@ -511,14 +511,6 @@ pub enum Frame {
     ResultBatch {
         /// One result per answered token.
         items: Vec<WireResult>,
-    },
-    /// Worker → coordinator: receiver-driven flow-control credits for one
-    /// of the worker's tasks (granted back as deliveries are processed).
-    CreditGrant {
-        /// Global task id whose credit pool is replenished.
-        task: u32,
-        /// Credits granted.
-        amount: u64,
     },
     /// Worker → coordinator: a full state snapshot of one stateful task.
     /// An [`Frame::AckFlush`] for the inputs it covers follows.
@@ -614,7 +606,6 @@ impl Frame {
             Frame::Assign { .. } => "assign",
             Frame::TupleBatch { .. } => "tuple_batch",
             Frame::ResultBatch { .. } => "result_batch",
-            Frame::CreditGrant { .. } => "credit_grant",
             Frame::CheckpointDeposit { .. } => "checkpoint_deposit",
             Frame::AckFlush { .. } => "ack_flush",
             Frame::RestoreState { .. } => "restore_state",
@@ -648,15 +639,36 @@ fn read_opt_varint(d: &mut Dec<'_>) -> Result<Option<u64>, CodecError> {
     }
 }
 
-/// Appends one [`WireTuple`] in `TupleBatch` item layout (the transport's
-/// batching writer drains its queue through this).
+/// Appends one [`WireTuple`] in `TupleBatch` item layout.
 pub fn write_tuple_item(buf: &mut Vec<u8>, item: &WireTuple) {
-    write_varint(buf, item.token);
-    write_varint(buf, u64::from(item.dest_task));
-    write_varint(buf, u64::from(item.stream));
-    write_opt_varint(buf, item.dedup);
-    write_opt_varint(buf, item.trace_root);
-    write_values(buf, &item.values);
+    write_tuple_parts(
+        buf,
+        item.token,
+        item.dest_task,
+        item.stream,
+        item.dedup,
+        item.trace_root,
+        &item.values,
+    );
+}
+
+/// [`write_tuple_item`] from borrowed parts, so a delivery is encoded
+/// straight from the runtime's tuple without copying its values.
+pub fn write_tuple_parts(
+    buf: &mut Vec<u8>,
+    token: u64,
+    dest_task: u32,
+    stream: u32,
+    dedup: Option<u64>,
+    trace_root: Option<u64>,
+    values: &[Value],
+) {
+    write_varint(buf, token);
+    write_varint(buf, u64::from(dest_task));
+    write_varint(buf, u64::from(stream));
+    write_opt_varint(buf, dedup);
+    write_opt_varint(buf, trace_root);
+    write_values(buf, values);
 }
 
 fn write_span(buf: &mut Vec<u8>, s: &WireSpan) {
@@ -802,11 +814,6 @@ pub fn encode_frame_body(frame: &Frame, buf: &mut Vec<u8>) {
                     write_emission(buf, e);
                 }
             }
-        }
-        Frame::CreditGrant { task, amount } => {
-            buf.push(T_CREDIT_GRANT);
-            write_varint(buf, u64::from(*task));
-            write_varint(buf, *amount);
         }
         Frame::CheckpointDeposit {
             task,
@@ -985,10 +992,6 @@ fn decode_frame_inner(d: &mut Dec<'_>) -> Result<Frame, CodecError> {
             }
             Ok(Frame::ResultBatch { items })
         }
-        T_CREDIT_GRANT => Ok(Frame::CreditGrant {
-            task: d.varint()? as u32,
-            amount: d.varint()?,
-        }),
         T_CHECKPOINT => {
             let task = d.varint()? as u32;
             let payload = d.byte_str()?.to_vec();
@@ -1405,10 +1408,6 @@ mod tests {
                     }],
                 }],
             },
-            Frame::CreditGrant {
-                task: 3,
-                amount: 64,
-            },
             Frame::CheckpointDeposit {
                 task: 3,
                 payload: vec![0xC5, 1, 2, 3],
@@ -1487,7 +1486,7 @@ mod tests {
 
     #[test]
     fn length_prefixed_encoding_is_parseable() {
-        let frame = Frame::CreditGrant { task: 1, amount: 2 };
+        let frame = Frame::Flush { seq: 2 };
         let mut buf = Vec::new();
         encode_frame(&frame, &mut buf);
         let mut d = Dec::new(&buf);

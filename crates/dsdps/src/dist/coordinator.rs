@@ -1,272 +1,185 @@
-//! Coordinator side of the distributed runtime.
+//! Coordinator side of the distributed runtime: the threaded runtime of
+//! [`crate::rt`] with every bolt task on a remote executor.
 //!
-//! The coordinator is the reliability brain: it runs the spouts, the
-//! sharded acker, the per-spout replay buffers, the credit ledger, the
-//! checkpoint store and all routing.  Worker processes only execute
-//! bolts.  One reader thread per worker connection applies results and
-//! control frames; a supervisor thread respawns dead workers, expires
-//! timed-out trees and drains credit-starved overflow queues; a completer
-//! thread fans tree outcomes back to the owning spout threads.
+//! [`submit`] starts the threaded runtime — spouts, routers, the sharded
+//! acker, replay, timeouts, credits, the checkpoint store, metrics — with
+//! every bolt task on a remote executor: a batch flushed toward one goes
+//! to the outbound queue of the worker slot hosting it (`rt::remote`).
+//! Per connection, one **writer** thread alone owns the socket: it writes
+//! each batch as one `TupleBatch` frame after recording the deliveries'
+//! acker anchors in the connection's in-flight queue.  One **reader**
+//! thread turns the worker's `ResultBatch`/`AckFlush` frames back into
+//! acker ops and routes a remote task's emissions through that task's own
+//! router.  The reader never waits on a lock held across a write, a
+//! bounded channel or a credit, so finite socket buffers cannot wedge the
+//! pair (DESIGN.md §15.4).
 //!
-//! Delivery accounting mirrors the threaded runtime exactly —
-//! `tracked == acked + permanently_failed + in_flight` holds at shutdown
-//! ([`DistReport::conservation_holds`]) — with one extra failure source:
-//! a dying connection fails every delivery pending on it into replay.
+//! Around them, a listener thread runs the handshake (hello, assign, state
+//! restore on respawn) and a fleet supervisor reaps, journals and respawns
+//! worker processes and refreshes the per-connection gauges.  A dying
+//! connection fails every delivery in flight on it into replay, exactly
+//! like a crashed local task's lost tuples.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use super::codec::{Frame, InternTable, WireEmission, WireTuple};
-use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader, Listener};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
+
+use super::codec::{self, Frame, InternTable, WireEmission};
+use super::transport::{Conn, ConnStats, Endpoint, FrameReader, FrameWriter, Listener};
 use super::worker::{snapshot_from_payload, snapshot_to_payload, TopologyRegistry};
-use super::{recovery_to_byte, span_kind_from_byte, DistConfig, LastWordsLine, TransportKind};
-use crate::acker::{splitmix64, Completion, RootId, ShardedAcker, TreeOutcome};
-use crate::component::{Emission, MessageId, SpoutOutput, TopologyContext};
+use super::{recovery_to_byte, span_kind_from_byte, DistConfig, LastWordsLine};
+use crate::acker::RootId;
+use crate::component::Emission;
 use crate::config::EngineConfig;
 use crate::error::{Error, Result};
-use crate::grouping::{make_grouping, Grouping, GroupingSpec};
-use crate::rt::checkpoint::CheckpointStore;
-use crate::rt::replay::{FailDecision, ReplayBuffer};
-use crate::rt::{CreditLedger, CreditTotals, RtConfig, StateSnapshot};
-use crate::telemetry::journal::{Journal, JournalEvent};
-use crate::telemetry::{
-    chrome_trace_json_named, normalize_start_us, trace::trace_id, Counter, Gauge, MetricsServer,
-    Registry, Span, SpanKind, Tracer, HOT_PATH_TELEMETRY,
+use crate::rt::{
+    self, CreditTotals, RemoteCtx, RemoteSink, RemoteTasks, RtConfig, RunningTopology,
+    StateSnapshot,
 };
-use crate::topology::{ComponentId, ComponentKind, TaskId, Topology};
-use crate::tuple::{Tuple, Value};
-
-/// Credit window (tuples per task) used when `RtConfig::credit_flow` is
-/// off.  The wire always needs *some* bound: the coordinator writes frames
-/// with the slot's state lock held, the worker is single-threaded, and
-/// both directions ride finite kernel socket buffers — if the outstanding
-/// tuples toward one connection can exceed what those buffers absorb, a
-/// flooded run wedges with the worker blocked writing results, the
-/// coordinator's writer blocked sending tuples, and the reader parked on
-/// the slot lock (see DESIGN.md §15.4).  The window must therefore stay
-/// comfortably below the socket capacity divided by the wire size of a
-/// tuple; 1 024 small tuples is tens of kilobytes per task against the
-/// ~200 KiB a default Unix socket buffers.  Topologies that want a wider
-/// (or per-task-tuned) window enable `credit_flow`, which sizes windows as
-/// `credit_window × batch_size` and re-grants per processed batch.
-const DEFAULT_WINDOW_TUPLES: u64 = 1_024;
+use crate::telemetry::journal::JournalEvent;
+use crate::telemetry::{
+    chrome_trace_json_named, normalize_start_us, trace::trace_id, Counter, Gauge, Registry, Span,
+    HOT_PATH_TELEMETRY,
+};
+use crate::topology::ComponentKind;
+use crate::tuple::Fields;
 
 /// How often the supervisor refreshes the cluster-view gauges (outstanding
-/// windows, overflow depth, connection counters).  Off the tuple path.
+/// windows, queued tuples, connection counters).  Off the tuple path.
 const GAUGE_SYNC_INTERVAL: Duration = Duration::from_millis(250);
 
-/// One delivery awaiting its result (or its deferred ack).
-struct Delivery {
-    /// Tree anchor: `(root, edge)` of this delivery's edge, if tracked.
-    anchor: Option<(RootId, u64)>,
-    /// Destination task (whose credit the delivery consumed).
-    task: u32,
+/// Read timeout of an idle connection reader.
+const IDLE_READ_TICK: Duration = Duration::from_millis(20);
+
+/// What a worker slot's writer thread sends, in queue order.
+enum Outbound {
+    /// One flushed input batch of a task the slot hosts.
+    Tuples { task: usize, batch: rt::Batch },
+    /// A control frame, ordered with the tuples around it.
+    Control(Frame),
 }
 
-/// Mutable per-worker-slot state, all under one lock.
+/// One written `TupleBatch` awaiting its `ResultBatch`.
+struct Written {
+    task: usize,
+    /// The batch took a credit from the task's pool (returned with the
+    /// results, or when the batch fails).
+    credited: bool,
+    /// Token of the first delivery; the others follow consecutively.
+    first_token: u64,
+    len: usize,
+}
+
+/// Deliveries written on one connection whose results have not come back,
+/// in write order.  The worker answers frames in order with one result per
+/// delivery, so both queues pop FIFO and tokens need no lookup.
 #[derive(Default)]
-struct SlotState {
-    writer: Option<BatchWriter>,
-    connected: bool,
-    pending: HashMap<u64, Delivery>,
-    deferred: HashMap<u64, Delivery>,
-    child: Option<Child>,
-    pid: u32,
+struct InFlight {
+    batches: VecDeque<Written>,
+    /// Acker anchor of every written delivery, batch after batch.
+    anchors: VecDeque<Option<(RootId, u64)>>,
+}
+
+/// One live connection, shared by its reader and writer threads.
+struct Link {
+    slot: usize,
     generation: u64,
-    respawns: u32,
-    /// Snapshot age (s) per task with a restore in flight, for journaling
-    /// the worker's `state_restored` reply.
-    restore_age: HashMap<u32, Option<f64>>,
+    pid: u32,
+    /// Handle used only to shut the socket down.
+    conn: Conn,
     /// `coordinator_now_us − worker_clock_us`, estimated at the `Hello`
     /// handshake; re-bases every span this connection ships.
     clock_offset_us: i64,
-    /// Transport counters of the live connection (reader + writer share
-    /// one instance).
-    conn_stats: Option<Arc<ConnStats>>,
+    /// What is written and unanswered; `None` once the connection is
+    /// closed.  Held only to push or pop, never across I/O.
+    in_flight: Mutex<Option<InFlight>>,
+}
+
+impl Link {
+    /// Records a batch about to be written; `false` when the connection
+    /// already closed.
+    fn register(
+        &self,
+        batch: Written,
+        anchors: impl Iterator<Item = Option<(RootId, u64)>>,
+    ) -> bool {
+        let mut guard = self.in_flight.lock();
+        let Some(in_flight) = guard.as_mut() else {
+            return false;
+        };
+        in_flight.batches.push_back(batch);
+        in_flight.anchors.extend(anchors);
+        true
+    }
+
+    /// Pops the oldest written batch, moving its anchors into `anchors`.
+    fn pop(&self, anchors: &mut Vec<Option<(RootId, u64)>>) -> Option<Written> {
+        let mut guard = self.in_flight.lock();
+        let in_flight = guard.as_mut()?;
+        let batch = in_flight.batches.pop_front()?;
+        anchors.clear();
+        anchors.extend(in_flight.anchors.drain(..batch.len));
+        Some(batch)
+    }
+
+    fn is_closed(&self) -> bool {
+        self.in_flight.lock().is_none()
+    }
+
+    /// Closes the connection: the socket goes down (unblocking the writer)
+    /// and everything still in flight is returned for failing.
+    fn close(&self) -> InFlight {
+        let pending = self.in_flight.lock().take().unwrap_or_default();
+        self.conn.shutdown();
+        pending
+    }
+}
+
+/// Process-level state of one worker slot.  The lock is held for
+/// bookkeeping only, never across socket I/O.
+#[derive(Default)]
+struct SlotLife {
+    child: Option<Child>,
+    respawns: u32,
     /// Structured cause of death captured from the worker's `LastWords`
-    /// frame or its stderr JSONL line; consumed by the supervisor when it
-    /// reaps the child.
+    /// frame or its stderr JSONL line; consumed when the child is reaped.
     last_words: Option<(String, String)>,
     /// A heartbeat-lag journal event was already emitted for the current
     /// silence episode.
     hb_lagged: bool,
 }
 
-struct WorkerSlot {
-    state: Mutex<SlotState>,
-    /// Bolt tasks owned by this slot.
+/// One worker slot: the bolt tasks it hosts and the queue feeding them.
+struct Slot {
     tasks: Vec<u32>,
-}
-
-/// An emission parked because its destination task was out of credits.
-struct Overflow {
-    stream: u32,
-    values: Vec<Value>,
-    anchor: Option<(RootId, u64)>,
-    dedup: Option<u64>,
-}
-
-/// One route of the coordinator-side router (centralized equivalent of
-/// the threaded runtime's per-task router).
-struct RouteEntry {
-    stream: u32,
-    subscriber_base: usize,
-    parallelism: usize,
-    grouping: Mutex<Box<dyn Grouping>>,
-    is_direct: bool,
-}
-
-struct DistRouter {
-    /// Routes indexed by producing component id.
-    per_component: Vec<Vec<RouteEntry>>,
-}
-
-impl DistRouter {
-    fn new(topology: &Topology, intern: &InternTable) -> Self {
-        let mut per_component = Vec::new();
-        for component in topology.components() {
-            let mut routes = Vec::new();
-            for decl in &component.outputs {
-                let stream = intern
-                    .lookup(component.id.0, decl.id.as_str())
-                    .expect("declared stream is interned");
-                for (sub, spec) in topology.subscribers_of(component.id, &decl.id) {
-                    let handle = match spec {
-                        GroupingSpec::Dynamic(_) => {
-                            topology.dynamic_handle(&component.name, &decl.id, &sub.name)
-                        }
-                        _ => None,
-                    };
-                    routes.push(RouteEntry {
-                        stream,
-                        subscriber_base: sub.base_task.0,
-                        parallelism: sub.parallelism,
-                        grouping: Mutex::new(make_grouping(
-                            spec,
-                            sub.parallelism,
-                            &decl.fields,
-                            0,
-                            handle,
-                        )),
-                        is_direct: matches!(spec, GroupingSpec::Direct),
-                    });
-                }
-            }
-            per_component.push(routes);
-        }
-        DistRouter { per_component }
-    }
-
-    /// Destination task ids for one emission of `component` on interned
-    /// stream `stream`.
-    fn select(
-        &self,
-        component: usize,
-        stream: u32,
-        tuple: &Tuple,
-        direct_task: Option<u32>,
-        dests: &mut Vec<usize>,
-    ) {
-        dests.clear();
-        let mut locals = Vec::new();
-        for route in &self.per_component[component] {
-            if route.stream != stream {
-                continue;
-            }
-            match (direct_task, route.is_direct) {
-                (Some(local), true) => {
-                    let local = local as usize;
-                    if local < route.parallelism {
-                        dests.push(route.subscriber_base + local);
-                    }
-                }
-                (None, false) => {
-                    locals.clear();
-                    route.grouping.lock().unwrap().select(tuple, &mut locals);
-                    dests.extend(locals.iter().map(|l| route.subscriber_base + l));
-                }
-                // Direct emissions only travel direct routes and vice versa.
-                _ => {}
-            }
-        }
-    }
-}
-
-#[derive(Default)]
-struct Counters {
-    spout_emitted: AtomicU64,
-    tracked: AtomicU64,
-    acked: AtomicU64,
-    failed: AtomicU64,
-    timed_out: AtomicU64,
-    permanently_failed: AtomicU64,
-    replays_scheduled: AtomicU64,
-    replays_emitted: AtomicU64,
-    checkpoints_taken: AtomicU64,
-    restores: AtomicU64,
-    snapshot_bytes: AtomicU64,
-    worker_restarts: AtomicU64,
-    worker_disconnects: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-}
-
-/// Completion-latency reservoir (ms): exact mean plus a fixed-size sample
-/// for p99 so long benches don't accumulate unbounded latency vectors.
-#[derive(Default)]
-struct LatencyStats {
-    count: u64,
-    sum_ms: f64,
-    sample: Vec<f64>,
-}
-
-const LATENCY_SAMPLE_CAP: usize = 8_192;
-
-impl LatencyStats {
-    fn record(&mut self, ms: f64) {
-        self.count += 1;
-        self.sum_ms += ms;
-        if self.sample.len() < LATENCY_SAMPLE_CAP {
-            self.sample.push(ms);
-        } else {
-            let idx = (splitmix64(self.count) % LATENCY_SAMPLE_CAP as u64) as usize;
-            self.sample[idx] = ms;
-        }
-    }
-
-    fn avg(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ms / self.count as f64
-        }
-    }
-
-    fn p99(&self) -> f64 {
-        if self.sample.is_empty() {
-            return 0.0;
-        }
-        let mut s = self.sample.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        s[((s.len() - 1) as f64 * 0.99) as usize]
-    }
+    outbound: Sender<Outbound>,
+    outbound_rx: Receiver<Outbound>,
+    /// Tuples in the outbound queue (not yet written).
+    queued: Arc<AtomicU64>,
+    /// Tuples written to the worker whose results have not come back.
+    outstanding: AtomicU64,
+    pid: AtomicU32,
+    generation: AtomicU64,
+    connected: AtomicBool,
+    /// Transport counters over every connection of the slot.
+    stats: Arc<ConnStats>,
+    gauges: SlotGauges,
+    life: Mutex<SlotLife>,
 }
 
 /// Cached handles of the per-slot transport/flow families the supervisor
 /// refreshes at gauge cadence (never on the tuple path).
 struct SlotGauges {
-    /// §15.4 deadlock class as a live gauge: deliveries on the wire
-    /// awaiting results.
+    /// Deliveries on the wire awaiting results.
     outstanding: Gauge,
-    /// Emissions parked in this slot's overflow queues (credit stall).
+    /// Tuples queued for the connection's writer.
     parked: Gauge,
     /// Seconds since the last frame arrived on the connection.
     rx_silence: Gauge,
@@ -297,8 +210,11 @@ impl SlotGauges {
         }
     }
 
-    fn sync_conn(&self, stats: &ConnStats) {
+    fn sync(&self, slot: &Slot) {
         use std::sync::atomic::Ordering::Relaxed;
+        let stats = &slot.stats;
+        self.outstanding.set(slot.outstanding.load(Relaxed) as f64);
+        self.parked.set(slot.queued.load(Relaxed) as f64);
         self.bytes_in.set(stats.bytes_in.load(Relaxed));
         self.bytes_out.set(stats.bytes_out.load(Relaxed));
         self.frames_in.set(stats.frames_in.load(Relaxed));
@@ -310,363 +226,75 @@ impl SlotGauges {
     }
 }
 
-/// Cached handles of the coordinator-level reliability families.
-struct CoordMetrics {
-    tracked: Counter,
-    acked: Counter,
-    failed: Counter,
-    timed_out: Counter,
-    permanently_failed: Counter,
-    replays_emitted: Counter,
-    worker_restarts: Counter,
-    worker_disconnects: Counter,
-    pending_trees: Gauge,
-}
-
-impl CoordMetrics {
-    fn new(reg: &Registry) -> Self {
-        CoordMetrics {
-            tracked: reg.counter("dsdps_coord_tracked_total", &[]),
-            acked: reg.counter("dsdps_coord_acked_total", &[]),
-            failed: reg.counter("dsdps_coord_failed_total", &[]),
-            timed_out: reg.counter("dsdps_coord_timed_out_total", &[]),
-            permanently_failed: reg.counter("dsdps_coord_permanently_failed_total", &[]),
-            replays_emitted: reg.counter("dsdps_coord_replays_emitted_total", &[]),
-            worker_restarts: reg.counter("dsdps_coord_worker_restarts_total", &[]),
-            worker_disconnects: reg.counter("dsdps_coord_worker_disconnects_total", &[]),
-            pending_trees: reg.gauge("dsdps_coord_pending_trees", &[]),
-        }
-    }
-
-    fn sync(&self, c: &Counters, pending: usize) {
-        self.tracked.set(c.tracked.load(Ordering::Relaxed));
-        self.acked.set(c.acked.load(Ordering::Relaxed));
-        self.failed.set(c.failed.load(Ordering::Relaxed));
-        self.timed_out.set(c.timed_out.load(Ordering::Relaxed));
-        self.permanently_failed
-            .set(c.permanently_failed.load(Ordering::Relaxed));
-        self.replays_emitted
-            .set(c.replays_emitted.load(Ordering::Relaxed));
-        self.worker_restarts
-            .set(c.worker_restarts.load(Ordering::Relaxed));
-        self.worker_disconnects
-            .set(c.worker_disconnects.load(Ordering::Relaxed));
-        self.pending_trees.set(pending as f64);
-    }
-}
-
-struct Shared {
-    topology: Topology,
+/// The process-specific half of a distributed run.
+struct Fleet {
+    ctx: RemoteCtx,
     /// The registry key the topology was submitted under (what workers
     /// rebuild from; not necessarily the topology's display name).
     topology_key: String,
-    cfg_args_str: String,
+    args: String,
     intern: InternTable,
-    router: DistRouter,
+    task_count: usize,
+    /// Component name per global task (stamped into worker spans).
+    task_names: Vec<String>,
+    /// Per global task: the schemas of the streams it subscribes to, with
+    /// their interned indices (a delivery's wire stream index).
+    inputs: Vec<Vec<(Fields, u32)>>,
+    /// Whether each task's bolt reports state (probed at submit).
+    stateful: Vec<bool>,
     engine: EngineConfig,
     rt: RtConfig,
     cfg: DistConfig,
     endpoint: Endpoint,
-    ackers: ShardedAcker,
-    ledger: CreditLedger,
-    store: CheckpointStore,
-    journal: Journal,
-    counters: Counters,
-    /// Coordinator-side tracer: spout-emit + terminal spans, sampled by
-    /// `RtConfig::trace_sample_rate`.  The per-tree decision also rides
-    /// each delivery as `WireTuple::trace_root`, so workers record hops
-    /// for exactly the trees traced here.
-    tracer: Tracer,
+    slots: Vec<Slot>,
     /// Worker hop spans, already clock-normalized and stamped with
     /// pid/generation at receipt.
     worker_spans: Mutex<Vec<Span>>,
     /// Spans rejected by worker-side ring buffers (shipped in `SpanBatch`).
     worker_spans_dropped: AtomicU64,
-    /// One registry for the whole cluster: coordinator families plus every
-    /// worker push re-registered under `worker`/`generation` labels; served
-    /// at `RtConfig::metrics_addr`.
-    metrics: Arc<Registry>,
-    coord_metrics: CoordMetrics,
-    slot_gauges: Vec<SlotGauges>,
-    /// Coordinator OS pid, stamped into coordinator-side spans at merge.
+    /// The runtime's registry: rt's families, the fleet's and every worker
+    /// push under `worker`/`generation` labels.
+    registry: Arc<Registry>,
+    worker_restarts: Counter,
+    worker_disconnects: Counter,
     coord_pid: u32,
-    latency: Mutex<LatencyStats>,
-    start: Instant,
-    /// Set at shutdown: spouts stop emitting fresh tuples.
-    stop: AtomicBool,
-    /// Set after the drain: every background thread exits.
-    terminate: AtomicBool,
-    next_token: AtomicU64,
-    flush_seq: AtomicU64,
-    /// Owning worker slot per global task (`None` for spout tasks).
-    task_owner: Vec<Option<usize>>,
-    /// Component id per global task.
-    task_component: Vec<usize>,
-    /// Whether each component's bolt reports state (probed at submit).
-    component_stateful: Vec<bool>,
-    slots: Vec<WorkerSlot>,
-    overflow: Vec<Mutex<VecDeque<Overflow>>>,
-    /// Live replay-buffer length per spout task (drain check).
-    spout_inflight: Vec<AtomicUsize>,
-    reader_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Set at the end of shutdown's drain: no respawns, no new
+    /// connections, and closing connections are not disconnects.
+    stopping: AtomicBool,
+    /// Reader and writer threads of every connection.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Shared {
+impl Fleet {
     fn now_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
+        self.ctx.shared().now_s()
     }
 
-    /// Sends one delivery to its owner if the slot is up.  Returns `false`
-    /// when the slot has no live connection (caller fails the tree).
-    /// Assumes the destination credit was already acquired.
-    fn send_now(
-        &self,
-        dest: usize,
-        stream: u32,
-        values: Vec<Value>,
-        anchor: Option<(RootId, u64)>,
-        dedup: Option<u64>,
-    ) -> bool {
-        let Some(slot_idx) = self.task_owner[dest] else {
-            return false;
-        };
-        let mut state = self.slots[slot_idx].state.lock().unwrap();
-        if !state.connected || state.writer.is_none() {
-            return false;
-        }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        // The sampling decision travels with the tuple: workers record hop
-        // spans iff `trace_root` is set, so worker traces line up with the
-        // coordinator's spout-emit/terminal spans for the same trees.
-        let trace_root = anchor
-            .map(|(root, _)| root)
-            .filter(|&root| self.tracer.enabled() && self.tracer.sampled(root));
-        let item = WireTuple {
-            token,
-            dest_task: dest as u32,
+    /// Wire stream index of a delivery to `task` whose tuple carries
+    /// `fields` (routers stamp the declaring stream's schema).
+    fn stream_of(&self, task: usize, fields: &Fields) -> u32 {
+        let inputs = &self.inputs[task];
+        inputs
+            .iter()
+            .find(|(f, _)| f.ptr_eq(fields))
+            .or(inputs.first())
+            .map_or(0, |&(_, idx)| idx)
+    }
+
+    /// Rebuilds an emission a worker sent back.
+    fn emission(&self, e: WireEmission) -> Option<Emission> {
+        let stream = self.intern.entry(e.stream)?.0.clone();
+        let tuple = self.intern.tuple(e.stream, e.values).ok()?;
+        Some(Emission {
             stream,
-            dedup,
-            trace_root,
-            values,
-        };
-        state.pending.insert(
-            token,
-            Delivery {
-                anchor,
-                task: dest as u32,
-            },
-        );
-        let failed = state
-            .writer
-            .as_mut()
-            .expect("checked above")
-            .push_tuple(item)
-            .is_err();
-        if failed {
-            // Socket died mid-write.  Leave the pending entry: the reader
-            // thread observes the same failure and fails every pending
-            // delivery (including this one) into replay.
-            state.connected = false;
-        }
-        true
-    }
-
-    /// Delivers or parks one emission instance for `dest`.
-    fn enqueue(
-        &self,
-        dest: usize,
-        stream: u32,
-        values: Vec<Value>,
-        anchor: Option<(RootId, u64)>,
-        dedup: Option<u64>,
-    ) {
-        if self.ledger.try_acquire(dest) {
-            if !self.send_now(dest, stream, values, anchor, dedup) {
-                self.ledger.grant(dest, 1);
-                if let Some((root, _)) = anchor {
-                    self.ackers.on_fail(root, self.now_s());
-                }
-            }
-        } else {
-            self.overflow[dest].lock().unwrap().push_back(Overflow {
-                stream,
-                values,
-                anchor,
-                dedup,
-            });
-        }
-    }
-
-    /// Moves credit-starved emissions onto the wire as credits permit.
-    fn drain_overflow(&self, task: usize) {
-        loop {
-            let item = {
-                let mut q = self.overflow[task].lock().unwrap();
-                if q.is_empty() || !self.ledger.try_acquire(task) {
-                    break;
-                }
-                q.pop_front().expect("checked non-empty")
-            };
-            if !self.send_now(task, item.stream, item.values, item.anchor, item.dedup) {
-                self.ledger.grant(task, 1);
-                if let Some((root, _)) = item.anchor {
-                    self.ackers.on_fail(root, self.now_s());
-                }
-            }
-        }
-    }
-
-    /// Routes one emission whose tuple is already schema-attached.
-    /// Registers every new edge on the tree *before* any delivery leaves,
-    /// then enqueues.  With `track_as` set, the first edge opens a fresh
-    /// tree for that spout message.
-    #[allow(clippy::too_many_arguments)]
-    fn route_tuple(
-        &self,
-        component: usize,
-        stream: u32,
-        tuple: &Tuple,
-        direct_task: Option<u32>,
-        anchor_root: Option<RootId>,
-        track_as: Option<(TaskId, MessageId)>,
-        dedup: Option<u64>,
-    ) -> (usize, Option<RootId>) {
-        let mut dests = Vec::new();
-        self.router
-            .select(component, stream, tuple, direct_task, &mut dests);
-        if dests.is_empty() {
-            return (0, None);
-        }
-        let now = self.now_s();
-        // Register every new edge on the tree before any delivery leaves,
-        // so a fast worker's acks cannot XOR the tree to zero early.
-        let mut new_root = None;
-        let anchors: Vec<Option<(RootId, u64)>> = match (anchor_root, track_as) {
-            (Some(root), _) => dests
-                .iter()
-                .map(|_| {
-                    let edge = self.ackers.new_edge_id();
-                    self.ackers.on_emit(root, edge);
-                    Some((root, edge))
-                })
-                .collect(),
-            (None, Some((spout_task, message_id))) => {
-                let root = self.ackers.new_edge_id();
-                new_root = Some(root);
-                dests
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| {
-                        let edge = self.ackers.new_edge_id();
-                        if i == 0 {
-                            self.ackers.track(root, edge, spout_task, message_id, now);
-                        } else {
-                            self.ackers.on_emit(root, edge);
-                        }
-                        Some((root, edge))
-                    })
-                    .collect()
-            }
-            (None, None) => dests.iter().map(|_| None).collect(),
-        };
-        let n = dests.len();
-        for (dest, anchor) in dests.into_iter().zip(anchors) {
-            self.enqueue(dest, stream, tuple.values().to_vec(), anchor, dedup);
-        }
-        (n, new_root)
-    }
-
-    /// Routes a worker-produced emission (bolt output or tick output).
-    fn route_wire_emission(
-        &self,
-        producer_component: usize,
-        emission: WireEmission,
-        anchor_root: Option<RootId>,
-    ) {
-        let Ok(tuple) = self.intern.tuple(emission.stream, emission.values) else {
-            return;
-        };
-        let _ = self.route_tuple(
-            producer_component,
-            emission.stream,
-            &tuple,
-            emission.direct_task,
-            anchor_root,
-            None,
-            None,
-        );
-    }
-
-    /// Fails every in-flight delivery of a dead connection into replay and
-    /// returns the connection's credits.  Idempotent per connection.
-    fn cleanup_slot(&self, slot_idx: usize, reason: &str) {
-        let (pending, deferred, was_connected) = {
-            let mut state = self.slots[slot_idx].state.lock().unwrap();
-            if !state.connected && state.writer.is_none() {
-                return;
-            }
-            state.connected = false;
-            if let Some(writer) = state.writer.take() {
-                let c = &self.counters;
-                c.bytes_out.fetch_add(writer.bytes_out, Ordering::Relaxed);
-                c.frames_out.fetch_add(writer.frames_out, Ordering::Relaxed);
-            }
-            state.restore_age.clear();
-            state.conn_stats = None;
-            state.hb_lagged = false;
-            if let Some(child) = state.child.as_mut() {
-                // A dead socket with a live process is a zombie worker:
-                // take it down so the supervisor can respawn cleanly.
-                let _ = child.kill();
-            }
-            (
-                std::mem::take(&mut state.pending),
-                std::mem::take(&mut state.deferred),
-                true,
-            )
-        };
-        let _ = was_connected;
-        let now = self.now_s();
-        self.counters
-            .worker_disconnects
-            .fetch_add(1, Ordering::Relaxed);
-        // Sampled trees that die with the connection, capped so a flooded
-        // window cannot bloat the journal; cross-references the span log.
-        const LOST_TRACE_CAP: usize = 32;
-        let lost_trace_ids: Vec<u64> = pending
-            .values()
-            .chain(deferred.values())
-            .filter_map(|d| d.anchor.map(|(root, _)| root))
-            .filter(|&root| self.tracer.enabled() && self.tracer.sampled(root))
-            .map(trace_id)
-            .take(LOST_TRACE_CAP)
-            .collect();
-        self.journal.append(JournalEvent::WorkerDisconnected {
-            time_s: now,
-            worker: slot_idx,
-            reason: reason.to_owned(),
-            lost_trace_ids,
-        });
-        for (_, d) in pending {
-            // The delivery never completed: return its credit and fail its
-            // tree into replay.
-            self.ledger.grant(d.task as usize, 1);
-            if let Some((root, _)) = d.anchor {
-                self.ackers.on_fail(root, now);
-            }
-        }
-        for (_, d) in deferred {
-            // Processed but not yet covered by a checkpoint: its effect
-            // died with the worker, so the tree must replay.  (The worker
-            // already re-granted this delivery's credit.)
-            if let Some((root, _)) = d.anchor {
-                self.ackers.on_fail(root, now);
-            }
-        }
+            tuple,
+            message_id: None,
+            direct_task: e.direct_task.map(|t| t as usize),
+            anchored: e.anchored,
+        })
     }
 
     fn spawn_worker(self: &Arc<Self>, slot_idx: usize) -> Result<()> {
-        let mut state = self.slots[slot_idx].state.lock().unwrap();
         let mut cmd = Command::new(&self.cfg.worker_cmd[0]);
         cmd.args(&self.cfg.worker_cmd[1..])
             .env("DSDPS_DIST_ADDR", self.endpoint.to_env())
@@ -681,7 +309,7 @@ impl Shared {
         // forwarded verbatim.  The thread exits at stderr EOF (process
         // death), so it never needs joining.
         if let Some(stderr) = child.stderr.take() {
-            let shared = Arc::clone(self);
+            let fleet = Arc::clone(self);
             let _ = std::thread::Builder::new()
                 .name(format!("dist-stderr-{slot_idx}"))
                 .spawn(move || {
@@ -689,8 +317,8 @@ impl Shared {
                         let Ok(line) = line else { break };
                         if let Ok(lw) = serde_json::from_str::<LastWordsLine>(&line) {
                             if lw.dsdps_last_words {
-                                let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                                state.last_words = Some((lw.cause, lw.detail));
+                                fleet.slots[slot_idx].life.lock().last_words =
+                                    Some((lw.cause, lw.detail));
                                 continue;
                             }
                         }
@@ -698,145 +326,304 @@ impl Shared {
                     }
                 });
         }
-        self.journal.append(JournalEvent::WorkerSpawned {
-            time_s: self.now_s(),
-            worker: slot_idx,
-            pid: child.id(),
-            generation: state.generation,
-        });
-        state.pid = child.id();
-        state.child = Some(child);
+        let slot = &self.slots[slot_idx];
+        self.ctx
+            .shared()
+            .journal
+            .append(JournalEvent::WorkerSpawned {
+                time_s: self.now_s(),
+                worker: slot_idx,
+                pid: child.id(),
+                generation: slot.generation.load(Ordering::Acquire),
+            });
+        slot.pid.store(child.id(), Ordering::Release);
+        slot.life.lock().child = Some(child);
         Ok(())
     }
 
-    /// All spout replay buffers, worker pendings/deferreds and overflow
-    /// queues are empty and no tree is in flight.
-    fn quiesced(&self) -> bool {
-        if self.ackers.pending_count() != 0 {
-            return false;
-        }
-        if self
-            .spout_inflight
-            .iter()
-            .any(|c| c.load(Ordering::Acquire) != 0)
+    /// Tears a connection down: every delivery in flight on it (written or
+    /// held back for a checkpoint) fails into replay, and a still-running
+    /// worker process is killed so the supervisor respawns it cleanly.
+    fn close_link(
+        &self,
+        link: &Link,
+        reason: &str,
+        deferred: HashMap<u64, (RootId, u64)>,
+        tasks: &mut RemoteTasks,
+    ) {
+        let pending = link.close();
+        let slot = &self.slots[link.slot];
+        let stopping = self.stopping.load(Ordering::Acquire);
         {
-            return false;
-        }
-        if self.overflow.iter().any(|q| !q.lock().unwrap().is_empty()) {
-            return false;
-        }
-        for slot in &self.slots {
-            let state = slot.state.lock().unwrap();
-            if !state.pending.is_empty() || !state.deferred.is_empty() {
-                return false;
+            let mut life = slot.life.lock();
+            life.hb_lagged = false;
+            if !stopping {
+                if let Some(child) = life.child.as_mut() {
+                    let _ = child.kill();
+                }
             }
         }
-        true
+        slot.connected.store(false, Ordering::Release);
+        slot.outstanding
+            .fetch_sub(pending.anchors.len() as u64, Ordering::Relaxed);
+        if !stopping {
+            self.worker_disconnects.inc();
+            // Sampled trees that die with the connection, capped so a
+            // flooded window cannot bloat the journal; cross-references
+            // the span log.
+            const LOST_TRACE_CAP: usize = 32;
+            let tracer = &self.ctx.shared().tracer;
+            let lost_trace_ids = pending
+                .anchors
+                .iter()
+                .flatten()
+                .chain(deferred.values())
+                .map(|&(root, _)| root)
+                .filter(|&root| tracer.enabled() && tracer.sampled(root))
+                .map(trace_id)
+                .take(LOST_TRACE_CAP)
+                .collect();
+            self.ctx
+                .shared()
+                .journal
+                .append(JournalEvent::WorkerDisconnected {
+                    time_s: self.now_s(),
+                    worker: link.slot,
+                    reason: reason.to_owned(),
+                    lost_trace_ids,
+                });
+        }
+        // Processed but not yet covered by a checkpoint: their effect died
+        // with the worker, so those trees replay too.
+        let anchors = pending
+            .anchors
+            .iter()
+            .copied()
+            .chain(deferred.into_values().map(Some));
+        let credits = pending.batches.iter().map(|b| (b.task, b.credited));
+        fail_undelivered(tasks, anchors, credits);
+    }
+
+    /// No tree is pending or awaiting replay and no tuple is queued for,
+    /// or outstanding on, any connection.
+    fn quiesced(&self) -> bool {
+        let shared = self.ctx.shared();
+        shared.ackers.pending_count() == 0
+            && shared.replay.iter().all(|b| b.lock().is_empty())
+            && self.slots.iter().all(|s| {
+                s.queued.load(Ordering::Acquire) == 0 && s.outstanding.load(Ordering::Acquire) == 0
+            })
     }
 }
 
-// --- reader thread ------------------------------------------------------
-
-fn reader_loop(
-    shared: Arc<Shared>,
-    slot_idx: usize,
-    generation: u64,
-    pid: u32,
-    mut reader: FrameReader,
+/// Fails the trees of deliveries that will never be processed and returns
+/// the credits their batches took.
+fn fail_undelivered(
+    tasks: &mut RemoteTasks,
+    anchors: impl IntoIterator<Item = Option<(RootId, u64)>>,
+    credits: impl IntoIterator<Item = (usize, bool)>,
 ) {
+    for (root, _) in anchors.into_iter().flatten() {
+        tasks.fail(root);
+    }
+    for (task, credited) in credits {
+        tasks.return_credit(task, credited);
+    }
+    tasks.flush(false);
+}
+
+// --- writer thread --------------------------------------------------------
+
+/// Drains the slot's outbound queue into the socket.  The only thread that
+/// writes to the connection after the handshake.
+fn writer_loop(fleet: Arc<Fleet>, link: Arc<Link>, mut out: FrameWriter) {
+    let slot = &fleet.slots[link.slot];
+    let tracer = &fleet.ctx.shared().tracer;
+    let mut next_token = 1u64;
+    while !link.is_closed() {
+        let msg = match slot.outbound_rx.recv_timeout(Duration::from_millis(20)) {
+            Ok(msg) => msg,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        let sent = match msg {
+            Outbound::Tuples { task, batch } => {
+                let items = &batch.items;
+                slot.queued.fetch_sub(items.len() as u64, Ordering::Relaxed);
+                let first_token = next_token;
+                next_token += items.len() as u64;
+                // Registered before the bytes leave, so a result can never
+                // arrive for a delivery the reader does not know.
+                let written = Written {
+                    task,
+                    credited: batch.credited,
+                    first_token,
+                    len: items.len(),
+                };
+                if !link.register(written, items.iter().map(|d| d.anchor)) {
+                    fail_undelivered(
+                        &mut fleet.ctx.tasks(&[]),
+                        items.iter().map(|d| d.anchor),
+                        [(task, batch.credited)],
+                    );
+                    break;
+                }
+                slot.outstanding
+                    .fetch_add(items.len() as u64, Ordering::Relaxed);
+                out.send_body(|buf| {
+                    buf.push(codec::TUPLE_BATCH_TAG);
+                    codec::write_varint(buf, items.len() as u64);
+                    for (i, d) in items.iter().enumerate() {
+                        // The sampling decision travels with the tuple:
+                        // workers record hop spans iff `trace_root` is set.
+                        let trace_root = d
+                            .anchor
+                            .map(|(root, _)| root)
+                            .filter(|&root| tracer.enabled() && tracer.sampled(root));
+                        codec::write_tuple_parts(
+                            buf,
+                            first_token + i as u64,
+                            task as u32,
+                            fleet.stream_of(task, d.tuple.fields()),
+                            d.dedup,
+                            trace_root,
+                            d.tuple.values(),
+                        );
+                    }
+                })
+            }
+            Outbound::Control(frame) => out.send(&frame),
+        };
+        if sent.is_err() {
+            // The reader sees the dead socket too and fails what is in
+            // flight; shutting it down makes sure it notices now.
+            link.conn.shutdown();
+            break;
+        }
+    }
+}
+
+// --- reader thread --------------------------------------------------------
+
+/// Applies everything the worker sends.  Never blocks on anything but the
+/// socket: routing goes to the unbounded outbound queues, acker ops and
+/// outcome delivery take only short internal locks.
+fn reader_loop(
+    fleet: Arc<Fleet>,
+    link: Arc<Link>,
+    mut reader: FrameReader,
+    mut restore_age: HashMap<u32, Option<f64>>,
+) {
+    let slot = &fleet.slots[link.slot];
+    let shared = fleet.ctx.shared();
+    let task_ids: Vec<usize> = slot.tasks.iter().map(|&t| t as usize).collect();
+    let mut tasks = fleet.ctx.tasks(&task_ids);
+    // Deliveries processed but held back until a checkpoint covers them.
+    let mut deferred: HashMap<u64, (RootId, u64)> = HashMap::new();
+    let mut anchors = Vec::new();
+    let generation = link.generation;
+    // Wake within the linger deadline only while emissions wait in the
+    // routers' buffers.
+    let linger_tick = fleet
+        .rt
+        .linger
+        .clamp(Duration::from_millis(1), IDLE_READ_TICK);
+    let mut lingering = false;
     let reason = loop {
+        if tasks.has_pending() != lingering {
+            lingering = !lingering;
+            let tick = if lingering {
+                linger_tick
+            } else {
+                IDLE_READ_TICK
+            };
+            if let Err(e) = reader.set_read_timeout(Some(tick)) {
+                break format!("set timeout: {e}");
+            }
+        }
         let frame = match reader.read_frame() {
             Ok(Some(frame)) => frame,
             Ok(None) => {
-                if shared.terminate.load(Ordering::Acquire) {
-                    break "shutdown".to_owned();
-                }
+                // Read timeout: push out emissions past their linger.
+                tasks.flush(false);
                 continue;
             }
             Err(e) => break e.to_string(),
         };
         match frame {
             Frame::ResultBatch { items } => {
-                for item in items {
-                    let delivery = {
-                        let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                        state.pending.remove(&item.token)
-                    };
-                    // Stale token (delivered before a reconnect): already
-                    // failed into replay by cleanup.
-                    let Some(delivery) = delivery else { continue };
-                    let component = shared.task_component[delivery.task as usize];
-                    let root = delivery.anchor.map(|(r, _)| r);
-                    for emission in item.emissions {
-                        let anchor = if emission.anchored { root } else { None };
-                        shared.route_wire_emission(component, emission, anchor);
+                let Some(batch) = link.pop(&mut anchors) else {
+                    break "result batch without a delivery".to_owned();
+                };
+                let n = batch.len as u64;
+                slot.outstanding.fetch_sub(n, Ordering::Relaxed);
+                let in_order = items.len() == batch.len
+                    && (items.iter().zip(batch.first_token..)).all(|(item, t)| item.token == t);
+                if !in_order {
+                    fail_undelivered(
+                        &mut tasks,
+                        anchors.drain(..),
+                        [(batch.task, batch.credited)],
+                    );
+                    break "result batch does not match its delivery".to_owned();
+                }
+                let mut failed = 0u64;
+                for (item, anchor) in items.into_iter().zip(&anchors) {
+                    let root = anchor.map(|(root, _)| root);
+                    for e in item.emissions {
+                        let anchored = e.anchored;
+                        if let Some(emission) = fleet.emission(e) {
+                            tasks.emit(batch.task, &emission, root.filter(|_| anchored));
+                        }
                     }
-                    let now = shared.now_s();
-                    if let Some((root, edge)) = delivery.anchor {
+                    failed += u64::from(item.failed);
+                    if let Some((root, edge)) = *anchor {
                         if item.failed {
-                            shared.ackers.on_fail(root, now);
+                            tasks.fail(root);
                         } else if item.deferred {
-                            let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                            state.deferred.insert(item.token, delivery);
+                            deferred.insert(item.token, (root, edge));
                         } else {
-                            shared.ackers.on_ack(root, edge, now);
+                            tasks.ack(root, edge);
                         }
                     }
                 }
-            }
-            Frame::CreditGrant { task, amount } => {
-                shared.ledger.grant(task as usize, amount);
-                shared.drain_overflow(task as usize);
+                tasks.processed(batch.task, n, failed, batch.credited);
+                tasks.flush(false);
             }
             Frame::AckFlush { tokens } => {
-                let now = shared.now_s();
                 for token in tokens {
-                    let delivery = {
-                        let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                        state.deferred.remove(&token)
-                    };
-                    if let Some(Delivery {
-                        anchor: Some((root, edge)),
-                        ..
-                    }) = delivery
-                    {
-                        shared.ackers.on_ack(root, edge, now);
+                    if let Some((root, edge)) = deferred.remove(&token) {
+                        tasks.ack(root, edge);
                     }
                 }
+                tasks.flush(false);
             }
             Frame::CheckpointDeposit {
                 task,
                 payload,
                 dedup,
             } => {
-                if let Ok(snap) = snapshot_from_payload(&payload) {
-                    let kind = match snap.kind {
-                        crate::rt::SnapshotKind::Full => "full",
-                        crate::rt::SnapshotKind::Delta => "delta",
-                    };
-                    let now = shared.now_s();
-                    if let Some(bytes) =
-                        shared
-                            .store
-                            .deposit_full(task as usize, generation, now, snap, dedup)
-                    {
-                        shared
-                            .counters
-                            .checkpoints_taken
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .snapshot_bytes
-                            .fetch_add(bytes, Ordering::Relaxed);
-                        shared.journal.append(JournalEvent::CheckpointTaken {
-                            time_s: now,
-                            task: task as usize,
-                            generation,
-                            kind: kind.to_owned(),
-                            bytes,
-                            duration_us: 0,
-                        });
-                    }
+                let (Some(store), Ok(snap)) =
+                    (shared.checkpoints.as_ref(), snapshot_from_payload(&payload))
+                else {
+                    continue;
+                };
+                let kind = match snap.kind {
+                    rt::SnapshotKind::Full => "full",
+                    rt::SnapshotKind::Delta => "delta",
+                };
+                let now = shared.now_s();
+                if let Some(bytes) = store.deposit_full(task as usize, generation, now, snap, dedup)
+                {
+                    tasks.checkpoint_taken(task as usize, bytes);
+                    shared.journal.append(JournalEvent::CheckpointTaken {
+                        time_s: now,
+                        task: task as usize,
+                        generation,
+                        kind: kind.to_owned(),
+                        bytes,
+                        duration_us: 0,
+                    });
                 }
             }
             Frame::StateRestored {
@@ -844,13 +631,10 @@ fn reader_loop(
                 ok,
                 latency_us,
             } => {
-                let age = {
-                    let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                    state.restore_age.remove(&task).flatten()
-                };
+                let age = restore_age.remove(&task).flatten();
                 let now = shared.now_s();
                 if ok {
-                    shared.counters.restores.fetch_add(1, Ordering::Relaxed);
+                    tasks.restored(task as usize, latency_us);
                     shared.journal.append(JournalEvent::StateRestored {
                         time_s: now,
                         task: task as usize,
@@ -868,128 +652,115 @@ fn reader_loop(
                 }
             }
             Frame::TickEmissions { task, emissions } => {
-                let component = shared.task_component[task as usize];
-                for emission in emissions {
+                for e in emissions {
                     // Tick output has no input tuple: never anchored.
-                    shared.route_wire_emission(component, emission, None);
+                    if let Some(emission) = fleet.emission(e) {
+                        tasks.emit(task as usize, &emission, None);
+                    }
                 }
+                tasks.flush(false);
             }
-            Frame::SpanBatch {
-                worker: _,
-                dropped,
-                spans,
-            } => {
+            Frame::SpanBatch { dropped, spans, .. } => {
                 // Stamp what the worker could not know (component names,
                 // slot, pid, generation), re-base the worker-clock
                 // timestamps with the handshake offset, then merge.
-                let offset = {
-                    let state = shared.slots[slot_idx].state.lock().unwrap();
-                    state.clock_offset_us
-                };
                 let mut converted: Vec<Span> = spans
                     .into_iter()
                     .filter_map(|ws| {
-                        let kind = span_kind_from_byte(ws.kind)?;
                         let task = ws.task as usize;
-                        let component = shared
-                            .task_component
-                            .get(task)
-                            .map(|&c| shared.topology.component(ComponentId(c)).name.clone())
-                            .unwrap_or_default();
                         Some(Span {
                             trace_id: trace_id(ws.root),
                             root: ws.root,
-                            kind,
-                            component,
+                            kind: span_kind_from_byte(ws.kind)?,
+                            component: fleet.task_names.get(task)?.clone(),
                             task,
-                            worker: slot_idx,
+                            worker: link.slot,
                             start_us: ws.start_us,
                             queue_wait_us: ws.queue_wait_us,
                             exec_us: ws.exec_us,
                             batch_id: ws.batch_id,
                             replay_attempt: 0,
                             message_id: None,
-                            pid,
+                            pid: link.pid,
                             generation,
                         })
                     })
                     .collect();
-                normalize_start_us(&mut converted, offset);
-                shared
+                normalize_start_us(&mut converted, link.clock_offset_us);
+                fleet
                     .worker_spans_dropped
                     .fetch_add(dropped, Ordering::Relaxed);
-                shared.worker_spans.lock().unwrap().extend(converted);
+                fleet.worker_spans.lock().extend(converted);
             }
-            Frame::MetricsPush { worker: _, samples } => {
-                let w = slot_idx.to_string();
+            Frame::MetricsPush { samples, .. } => {
+                let w = link.slot.to_string();
                 let g = generation.to_string();
                 let labels: [(&str, &str); 2] =
                     [("worker", w.as_str()), ("generation", g.as_str())];
                 for sample in samples {
                     match sample.kind {
-                        0 => shared
-                            .metrics
+                        0 => fleet
+                            .registry
                             .counter(&sample.name, &labels)
                             .add(sample.value),
-                        1 => shared
-                            .metrics
+                        1 => fleet
+                            .registry
                             .gauge(&sample.name, &labels)
                             .set(f64::from_bits(sample.value)),
                         _ => {}
                     }
                 }
             }
-            Frame::LastWords {
-                worker: _,
-                cause,
-                detail,
-            } => {
-                let mut state = shared.slots[slot_idx].state.lock().unwrap();
-                state.last_words = Some((cause, detail));
+            Frame::LastWords { cause, detail, .. } => {
+                slot.life.lock().last_words = Some((cause, detail));
             }
-            Frame::Flushed { .. } => {}
-            // Worker→coordinator direction only carries the frames above.
+            // Worker→coordinator direction carries only the frames above.
             _ => {}
         }
     };
-    let c = &shared.counters;
-    c.bytes_in.fetch_add(reader.bytes_in, Ordering::Relaxed);
-    c.frames_in.fetch_add(reader.frames_in, Ordering::Relaxed);
-    shared.cleanup_slot(slot_idx, &reason);
+    tasks.flush(true);
+    fleet.close_link(&link, &reason, deferred, &mut tasks);
 }
 
-// --- listener / handshake thread ----------------------------------------
+// --- listener / handshake thread ------------------------------------------
 
-fn listener_loop(shared: Arc<Shared>, listener: Listener) {
+fn listener_loop(fleet: Arc<Fleet>, listener: Listener) {
     let _ = listener.set_nonblocking(true);
-    while !shared.terminate.load(Ordering::Acquire) {
+    while !fleet.stopping.load(Ordering::Acquire) {
         match listener.accept() {
             Ok(Some(conn)) => {
-                if let Err(e) = handshake(&shared, conn) {
-                    shared.journal.append(JournalEvent::WorkerDisconnected {
-                        time_s: shared.now_s(),
-                        worker: usize::MAX,
-                        reason: format!("handshake failed: {e}"),
-                        lost_trace_ids: Vec::new(),
-                    });
+                if let Err(e) = handshake(&fleet, conn) {
+                    fleet
+                        .ctx
+                        .shared()
+                        .journal
+                        .append(JournalEvent::WorkerDisconnected {
+                            time_s: fleet.now_s(),
+                            worker: usize::MAX,
+                            reason: format!("handshake failed: {e}"),
+                            lost_trace_ids: Vec::new(),
+                        });
                 }
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Ok(None) | Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
-fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
+/// Hello → assign → state restore, then the connection's reader and writer
+/// threads take over.  Frames are processed in order, so every restore
+/// lands before the first tuple the new writer sends.
+fn handshake(fleet: &Arc<Fleet>, conn: Conn) -> Result<()> {
     let handshake_start = Instant::now();
     conn.set_read_timeout(Some(Duration::from_secs(5)))
         .map_err(|e| Error::Runtime(format!("set timeout: {e}")))?;
-    let writer_conn = conn
-        .try_clone()
-        .map_err(|e| Error::Runtime(format!("clone socket: {e}")))?;
-    let stats = ConnStats::new();
+    let clone = |c: &Conn| {
+        c.try_clone()
+            .map_err(|e| Error::Runtime(format!("clone socket: {e}")))
+    };
+    let writer_conn = clone(&conn)?;
+    let control_conn = clone(&conn)?;
     let mut reader = FrameReader::new(conn);
-    reader.set_stats(Arc::clone(&stats));
     let hello = reader
         .read_frame()?
         .ok_or_else(|| Error::Runtime("timed out waiting for hello".into()))?;
@@ -1004,80 +775,88 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
             hello.kind()
         )));
     };
+    let shared = fleet.ctx.shared();
     // Clock-offset estimation: the worker's span clock read `clock_us` at
     // send time, which is "now" minus (uncorrected) one-way latency on
     // loopback — good to well under a millisecond, enough to merge span
     // timelines.  Workers re-send `Hello` after a respawn, so the offset
     // is re-estimated per generation.
-    let clock_offset_us = shared.start.elapsed().as_micros() as i64 - clock_us as i64;
+    let clock_offset_us = shared.now_us() as i64 - clock_us as i64;
     let slot_idx = worker as usize;
-    if slot_idx >= shared.slots.len() {
-        return Err(Error::Runtime(format!("unknown worker slot {worker}")));
-    }
-    let mut writer = BatchWriter::new(writer_conn, shared.rt.batch_size, shared.rt.linger);
-    writer.set_stats(Arc::clone(&stats));
-    let slot = &shared.slots[slot_idx];
+    let slot = fleet
+        .slots
+        .get(slot_idx)
+        .ok_or_else(|| Error::Runtime(format!("unknown worker slot {worker}")))?;
+    reader.set_stats(Arc::clone(&slot.stats));
+    slot.stats
+        .last_rx_us
+        .store(slot.stats.now_us(), Ordering::Relaxed);
+    let mut writer = FrameWriter::new(writer_conn);
+    writer.set_stats(Arc::clone(&slot.stats));
+    let checkpoints = shared.checkpoints.as_ref();
     writer.send(&Frame::Assign {
         worker,
-        topology: shared.topology_key.clone(),
-        args: shared.cfg_args().to_owned(),
+        topology: fleet.topology_key.clone(),
+        args: fleet.args.clone(),
         tasks: slot.tasks.clone(),
-        recovery: recovery_to_byte(shared.rt.recovery_mode),
-        ckpt_interval_us: shared.rt.checkpoint_interval.as_micros() as u64,
-        tick_interval_us: (shared.engine.tick_interval_s.max(0.0) * 1e6) as u64,
-        metrics_interval_us: (shared.engine.metrics_interval_s.max(0.0) * 1e6) as u64,
-        task_count: shared.topology.task_count() as u32,
-        stream_count: shared.intern.len() as u32,
+        recovery: recovery_to_byte(fleet.rt.recovery_mode),
+        // Zero tells the worker checkpoints are off.
+        ckpt_interval_us: checkpoints.map_or(0, |_| {
+            fleet.rt.checkpoint_interval.as_micros().max(1) as u64
+        }),
+        tick_interval_us: (fleet.engine.tick_interval_s.max(0.0) * 1e6) as u64,
+        metrics_interval_us: (fleet.engine.metrics_interval_s.max(0.0) * 1e6) as u64,
+        task_count: fleet.task_count as u32,
+        stream_count: fleet.intern.len() as u32,
     })?;
 
-    let mut state = slot.state.lock().unwrap();
-    state.generation += 1;
-    let generation = state.generation;
+    let generation = slot.generation.fetch_add(1, Ordering::AcqRel) + 1;
     let now = shared.now_s();
     let restore_start = Instant::now();
-    // Restore stateful tasks from the store *before* the writer is
-    // published: frames are processed in order, so every restore lands
-    // before the first tuple delivery of this connection.
-    for &task in &slot.tasks {
-        if !shared.component_stateful[shared.task_component[task as usize]] {
-            continue;
-        }
-        let Some(restored) = shared.store.load(task as usize, generation) else {
-            continue;
-        };
-        match restored.base {
-            Some(base) => {
-                let age = restored.taken_at_s.map(|t| now - t);
-                state.restore_age.insert(task, age);
+    let mut restore_age = HashMap::new();
+    for &task in slot.tasks.iter().filter(|&&t| fleet.stateful[t as usize]) {
+        let Some(store) = checkpoints else { break };
+        match store.load(task as usize, generation).and_then(|r| {
+            let age = r.taken_at_s.map(|t| now - t);
+            r.base.map(|base| (base, r.dedup, age))
+        }) {
+            Some((base, dedup, age)) => {
+                restore_age.insert(task, age);
                 writer.send(&Frame::RestoreState {
                     task,
                     payload: Some(snapshot_to_payload(&base)),
-                    dedup: restored.dedup,
+                    dedup,
                 })?;
             }
-            None => {
-                if generation > 1 {
-                    shared.journal.append(JournalEvent::StateLost {
-                        time_s: now,
-                        task: task as usize,
-                        generation,
-                        snapshot_age_s: None,
-                    });
-                }
-            }
+            None if generation > 1 => shared.journal.append(JournalEvent::StateLost {
+                time_s: now,
+                task: task as usize,
+                generation,
+                snapshot_age_s: None,
+            }),
+            None => {}
         }
     }
     let restore_us = restore_start.elapsed().as_micros() as u64;
-    state.pid = pid;
-    state.connected = true;
-    state.writer = Some(writer);
-    state.clock_offset_us = clock_offset_us;
-    state.conn_stats = Some(Arc::clone(&stats));
-    state.last_words = None;
-    state.hb_lagged = false;
-    let task_count = slot.tasks.len();
-    drop(state);
+    reader
+        .set_read_timeout(Some(IDLE_READ_TICK))
+        .map_err(|e| Error::Runtime(format!("set timeout: {e}")))?;
 
+    let link = Arc::new(Link {
+        slot: slot_idx,
+        generation,
+        pid,
+        conn: control_conn,
+        clock_offset_us,
+        in_flight: Mutex::new(Some(InFlight::default())),
+    });
+    slot.pid.store(pid, Ordering::Release);
+    {
+        let mut life = slot.life.lock();
+        life.last_words = None;
+        life.hb_lagged = false;
+    }
+    slot.connected.store(true, Ordering::Release);
     shared.journal.append(JournalEvent::WorkerConnected {
         time_s: now,
         worker: slot_idx,
@@ -1091,401 +870,119 @@ fn handshake(shared: &Arc<Shared>, conn: Conn) -> Result<()> {
         worker: slot_idx,
         pid,
         generation,
-        tasks: task_count,
+        tasks: slot.tasks.len(),
         clock_offset_us,
         handshake_us: handshake_start.elapsed().as_micros() as u64,
         restore_us,
     });
-    let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("dist-reader-{slot_idx}"))
-        .spawn(move || reader_loop(shared2, slot_idx, generation, pid, reader))
-        .map_err(|e| Error::Runtime(format!("spawn reader: {e}")))?;
-    shared.reader_threads.lock().unwrap().push(handle);
-    // New connection, fresh capacity: anything parked for this slot's
-    // tasks can move now.
-    for &task in &slot.tasks {
-        shared.drain_overflow(task as usize);
-    }
+    let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
+        std::thread::Builder::new()
+            .name(name)
+            .spawn(body)
+            .map_err(|e| Error::Runtime(format!("spawn connection thread: {e}")))
+    };
+    let (f, l) = (Arc::clone(fleet), Arc::clone(&link));
+    let reader_handle = spawn(
+        format!("dist-reader-{slot_idx}"),
+        Box::new(move || reader_loop(f, l, reader, restore_age)),
+    )?;
+    let (f, l) = (Arc::clone(fleet), link);
+    let writer_handle = spawn(
+        format!("dist-writer-{slot_idx}"),
+        Box::new(move || writer_loop(f, l, writer)),
+    )?;
+    fleet.threads.lock().extend([reader_handle, writer_handle]);
     Ok(())
 }
 
-impl Shared {
-    fn cfg_args(&self) -> &str {
-        &self.cfg_args_str
-    }
-}
+// --- supervisor thread ------------------------------------------------------
 
-// --- supervisor thread --------------------------------------------------
-
-fn supervisor_loop(shared: Arc<Shared>) {
-    let mut last_expire = Instant::now();
+fn supervisor_loop(fleet: Arc<Fleet>) {
     let mut last_gauge_sync = Instant::now();
     // Heartbeat-lag threshold: a live worker touches the connection at
     // least every metrics interval, so 2× the interval of rx silence is a
     // worker that is wedged (or a connection the OS has not failed yet).
-    let hb_threshold_s = if shared.engine.metrics_interval_s > 0.0 {
-        Some(2.0 * shared.engine.metrics_interval_s)
-    } else {
-        None
-    };
-    while !shared.terminate.load(Ordering::Acquire) {
+    let hb_threshold_s =
+        (fleet.engine.metrics_interval_s > 0.0).then_some(2.0 * fleet.engine.metrics_interval_s);
+    let journal = &fleet.ctx.shared().journal;
+    while !fleet.stopping.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(5));
-        let now = shared.now_s();
-        if last_expire.elapsed() >= Duration::from_millis(50) {
-            last_expire = Instant::now();
-            shared
-                .ackers
-                .expire(now, shared.engine.message_timeout_s.max(0.001));
-        }
+        let now = fleet.now_s();
         let sync_gauges = HOT_PATH_TELEMETRY && last_gauge_sync.elapsed() >= GAUGE_SYNC_INTERVAL;
         if sync_gauges {
             last_gauge_sync = Instant::now();
-            shared
-                .coord_metrics
-                .sync(&shared.counters, shared.ackers.pending_count());
         }
-        for (idx, slot) in shared.slots.iter().enumerate() {
-            let mut state = slot.state.lock().unwrap();
+        for (idx, slot) in fleet.slots.iter().enumerate() {
+            if sync_gauges {
+                slot.gauges.sync(slot);
+            }
+            let connected = slot.connected.load(Ordering::Acquire);
+            let mut life = slot.life.lock();
             // Reap exited children, attaching the captured cause of death
             // (last-words frame / stderr line, else the raw exit status).
-            let exit_status = match state.child.as_mut() {
-                Some(child) => child.try_wait().ok().flatten(),
-                None => None,
-            };
+            let exit_status = life
+                .child
+                .as_mut()
+                .and_then(|child| child.try_wait().ok().flatten());
             if let Some(status) = exit_status {
-                state.child = None;
-                let cause = match state.last_words.take() {
+                life.child = None;
+                let cause = match life.last_words.take() {
                     Some((cause, detail)) => format!("{cause}: {detail}"),
                     None => format!("exit: {status}"),
                 };
-                shared.journal.append(JournalEvent::WorkerDied {
+                journal.append(JournalEvent::WorkerDied {
                     time_s: now,
                     worker: idx,
-                    pid: state.pid,
-                    generation: state.generation,
+                    pid: slot.pid.load(Ordering::Acquire),
+                    generation: slot.generation.load(Ordering::Acquire),
                     cause,
                 });
             }
-            if sync_gauges {
-                shared.slot_gauges[idx]
-                    .outstanding
-                    .set(state.pending.len() as f64);
-                let parked: usize = slot
-                    .tasks
-                    .iter()
-                    .map(|&t| shared.overflow[t as usize].lock().unwrap().len())
-                    .sum();
-                shared.slot_gauges[idx].parked.set(parked as f64);
-                if let Some(stats) = state.conn_stats.as_ref() {
-                    shared.slot_gauges[idx].sync_conn(stats);
-                }
-            }
             // Heartbeat lag: journaled once per silence episode.
-            if let (Some(threshold), true) = (hb_threshold_s, state.connected) {
-                let silence = state
-                    .conn_stats
-                    .as_ref()
-                    .and_then(|s| s.rx_silence_s())
-                    .unwrap_or(0.0);
-                if silence > threshold {
-                    if !state.hb_lagged {
-                        state.hb_lagged = true;
-                        shared.journal.append(JournalEvent::WorkerHeartbeatLag {
-                            time_s: now,
-                            worker: idx,
-                            lag_s: silence,
-                        });
-                    }
-                } else {
-                    state.hb_lagged = false;
+            if let (Some(threshold), true) = (hb_threshold_s, connected) {
+                let silence = slot.stats.rx_silence_s().unwrap_or(0.0);
+                if silence <= threshold {
+                    life.hb_lagged = false;
+                } else if !life.hb_lagged {
+                    life.hb_lagged = true;
+                    journal.append(JournalEvent::WorkerHeartbeatLag {
+                        time_s: now,
+                        worker: idx,
+                        lag_s: silence,
+                    });
                 }
             }
-            // Respawn a dead, disconnected slot within budget.
-            if state.child.is_none()
-                && !state.connected
-                && state.generation > 0
-                && state.respawns < shared.cfg.max_worker_restarts
-                && !shared.terminate.load(Ordering::Acquire)
-            {
-                state.respawns += 1;
-                shared
-                    .counters
-                    .worker_restarts
-                    .fetch_add(1, Ordering::Relaxed);
-                drop(state);
-                let _ = shared.spawn_worker(idx);
+            let down =
+                life.child.is_none() && !connected && slot.generation.load(Ordering::Acquire) > 0;
+            if !down {
                 continue;
             }
-            // Linger: flush partial tuple batches past their deadline.
-            if let Some(writer) = state.writer.as_mut() {
-                if writer.poll_linger().is_err() {
-                    state.connected = false;
+            if life.respawns < fleet.cfg.max_worker_restarts {
+                life.respawns += 1;
+                drop(life);
+                fleet.worker_restarts.inc();
+                let _ = fleet.spawn_worker(idx);
+            } else {
+                // Restart budget spent: the slot stays down, and whatever
+                // its tasks receive fails into replay/permanent failure.
+                drop(life);
+                while let Ok(msg) = slot.outbound_rx.try_recv() {
+                    if let Outbound::Tuples { task, batch } = msg {
+                        slot.queued
+                            .fetch_sub(batch.items.len() as u64, Ordering::Relaxed);
+                        fail_undelivered(
+                            &mut fleet.ctx.tasks(&[]),
+                            batch.items.iter().map(|d| d.anchor),
+                            [(task, batch.credited)],
+                        );
+                    }
                 }
-            }
-        }
-        for task in 0..shared.task_owner.len() {
-            if shared.task_owner[task].is_some() {
-                shared.drain_overflow(task);
             }
         }
     }
 }
 
-// --- completer thread ---------------------------------------------------
-
-fn completer_loop(shared: Arc<Shared>, feedback: HashMap<usize, Sender<TreeOutcome>>) {
-    loop {
-        let outcomes = shared.ackers.drain_outcomes();
-        if outcomes.is_empty() {
-            if shared.terminate.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        for outcome in outcomes {
-            // Terminal span for sampled trees, recorded into the trailing
-            // tracer slot (the completer is the dist counterpart of the
-            // threaded runtime's metrics-thread slot).
-            if shared.tracer.enabled() && shared.tracer.sampled(outcome.root) {
-                let kind = match outcome.completion {
-                    Completion::Acked => SpanKind::Ack,
-                    Completion::Failed => SpanKind::Fail,
-                    Completion::TimedOut => SpanKind::Timeout,
-                };
-                let latency_us = outcome.complete_latency() * 1e6;
-                shared.tracer.record_terminal(
-                    shared.topology.task_count(),
-                    outcome.root,
-                    kind,
-                    outcome.spout_task.0,
-                    (outcome.completed_at * 1e6) as u64,
-                    latency_us.max(0.0) as u64,
-                    outcome.message_id,
-                );
-            }
-            if let Some(tx) = feedback.get(&outcome.spout_task.0) {
-                let _ = tx.send(outcome);
-            }
-        }
-    }
-}
-
-// --- spout thread -------------------------------------------------------
-
-struct SpoutThreadResult {
-    in_flight: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spout_loop(
-    shared: Arc<Shared>,
-    component_id: usize,
-    task: usize,
-    task_index: usize,
-    spout_index: usize,
-    feedback: Receiver<TreeOutcome>,
-) -> SpoutThreadResult {
-    let component = shared
-        .topology
-        .component(crate::topology::ComponentId(component_id));
-    let ComponentKind::Spout(factory) = &component.kind else {
-        unreachable!("spout thread for a bolt component");
-    };
-    let mut spout = factory();
-    spout.open(&TopologyContext {
-        component: component.name.clone(),
-        task_index,
-        parallelism: component.parallelism,
-    });
-    let mut replay = ReplayBuffer::default();
-    let mut out = SpoutOutput::new();
-    let mut idle_spins = 0u32;
-    let mut exhausted = false;
-    loop {
-        let now = shared.now_s();
-        // 1. Feedback: completed trees → acks/fails/replay schedule.
-        while let Ok(outcome) = feedback.try_recv() {
-            let id = outcome.message_id;
-            match outcome.completion {
-                Completion::Acked => {
-                    if replay.on_ack(id) {
-                        shared.counters.acked.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .latency
-                            .lock()
-                            .unwrap()
-                            .record(outcome.complete_latency() * 1e3);
-                        spout.ack(id);
-                    }
-                }
-                Completion::Failed | Completion::TimedOut => {
-                    let counter = if outcome.completion == Completion::Failed {
-                        &shared.counters.failed
-                    } else {
-                        &shared.counters.timed_out
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    match replay.on_fail(
-                        id,
-                        shared.rt.max_replays,
-                        shared.rt.replay_backoff,
-                        Instant::now(),
-                    ) {
-                        FailDecision::Scheduled { attempt, delay } => {
-                            shared
-                                .counters
-                                .replays_scheduled
-                                .fetch_add(1, Ordering::Relaxed);
-                            shared.journal.append(JournalEvent::ReplayScheduled {
-                                time_s: now,
-                                message_id: id,
-                                attempt,
-                                delay_ms: delay.as_secs_f64() * 1e3,
-                            });
-                        }
-                        FailDecision::Exhausted { attempts } => {
-                            shared
-                                .counters
-                                .permanently_failed
-                                .fetch_add(1, Ordering::Relaxed);
-                            shared.journal.append(JournalEvent::ReplayExhausted {
-                                time_s: now,
-                                message_id: id,
-                                attempts,
-                            });
-                            spout.fail(id);
-                        }
-                        FailDecision::Untracked | FailDecision::Doomed => {}
-                    }
-                }
-            }
-        }
-        // 2. Due replays: re-emit under a fresh tree.
-        for (id, emission, attempt) in replay.take_due(Instant::now()) {
-            let (delivered, root) =
-                route_spout_emission(&shared, component_id, task, &emission, Some(id));
-            let root = root.unwrap_or(0);
-            shared
-                .counters
-                .replays_emitted
-                .fetch_add(1, Ordering::Relaxed);
-            shared.journal.append(JournalEvent::ReplayEmitted {
-                time_s: now,
-                message_id: id,
-                attempt,
-                root,
-                trace_id: splitmix64(root),
-            });
-            if shared.tracer.enabled() && shared.tracer.sampled(root) {
-                shared
-                    .tracer
-                    .record_emit(task, root, task, (now * 1e6) as u64, attempt, id);
-            }
-            if delivered == 0 {
-                // Routed to nothing (subscriber set changed?): complete it.
-                if replay.on_ack(id) {
-                    shared.counters.acked.fetch_add(1, Ordering::Relaxed);
-                    spout.ack(id);
-                }
-            }
-        }
-        // 3. Fresh emission, gated on max_spout_pending.
-        let stopped = shared.stop.load(Ordering::Acquire) || exhausted;
-        let mut emitted_any = false;
-        if !stopped && replay.len() < shared.engine.max_spout_pending {
-            out.set_now(now);
-            if !spout.next_tuple(&mut out) {
-                exhausted = true;
-            }
-            for emission in out.drain() {
-                emitted_any = true;
-                shared
-                    .counters
-                    .spout_emitted
-                    .fetch_add(1, Ordering::Relaxed);
-                match emission.message_id {
-                    Some(id) => {
-                        let emission = Arc::new(emission);
-                        if replay.on_track(id, Arc::clone(&emission), now) {
-                            shared.counters.tracked.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let (delivered, root) =
-                            route_spout_emission(&shared, component_id, task, &emission, Some(id));
-                        if let Some(root) = root {
-                            if shared.tracer.enabled() && shared.tracer.sampled(root) {
-                                shared.tracer.record_emit(
-                                    task,
-                                    root,
-                                    task,
-                                    (now * 1e6) as u64,
-                                    0,
-                                    id,
-                                );
-                            }
-                        }
-                        if delivered == 0 {
-                            // No subscriber: immediately complete.
-                            if replay.on_ack(id) {
-                                shared.counters.acked.fetch_add(1, Ordering::Relaxed);
-                                spout.ack(id);
-                            }
-                        }
-                    }
-                    None => {
-                        let _ = route_spout_emission(&shared, component_id, task, &emission, None);
-                    }
-                }
-            }
-        }
-        shared.spout_inflight[spout_index].store(replay.len(), Ordering::Release);
-        if shared.terminate.load(Ordering::Acquire) {
-            break;
-        }
-        if emitted_any {
-            idle_spins = 0;
-        } else {
-            idle_spins = (idle_spins + 1).min(20);
-            std::thread::sleep(Duration::from_micros(50 * u64::from(idle_spins)));
-        }
-    }
-    spout.close();
-    SpoutThreadResult {
-        in_flight: replay.len(),
-    }
-}
-
-/// Routes one spout emission.  `tracked_as` carries the spout message id
-/// for tree tracking + replay dedup; `None` emits untracked.
-fn route_spout_emission(
-    shared: &Shared,
-    component_id: usize,
-    task: usize,
-    emission: &Emission,
-    tracked_as: Option<MessageId>,
-) -> (usize, Option<RootId>) {
-    let Some(stream) = shared.intern.lookup(component_id, emission.stream.as_str()) else {
-        return (0, None);
-    };
-    let (_, fields) = shared.intern.entry(stream).expect("interned");
-    let tuple = if emission.tuple.fields().ptr_eq(fields) {
-        emission.tuple.clone()
-    } else {
-        emission.tuple.rekeyed(fields.clone())
-    };
-    shared.route_tuple(
-        component_id,
-        stream,
-        &tuple,
-        emission.direct_task.map(|t| t as u32),
-        None,
-        tracked_as.map(|id| (TaskId(task), id)),
-        tracked_as,
-    )
-}
-
-// --- submit / running handle --------------------------------------------
+// --- submit / running handle ----------------------------------------------
 
 /// Submits `topology_name` (resolved through `registry`, exactly as each
 /// worker will resolve it) to a fleet of worker processes.
@@ -1503,400 +1000,330 @@ pub fn submit(
     if cfg.worker_cmd.is_empty() {
         return Err(Error::Config("worker_cmd must not be empty".into()));
     }
-    crate::rt::checkpoint::set_json_snapshot_fallback(rt.json_snapshots);
     let topology = registry.build(topology_name, args)?;
     let intern = InternTable::new(&topology);
-    let router = DistRouter::new(&topology, &intern);
     let n_tasks = topology.task_count();
 
-    // Placement: spouts on the coordinator, bolt tasks round-robin over
-    // worker slots.  Probe one instance per bolt component for state.
-    let mut task_owner = vec![None; n_tasks];
-    let mut task_component = vec![0usize; n_tasks];
-    let mut component_stateful = Vec::new();
+    // Placement: spouts stay in this process, bolt tasks go round-robin
+    // over the worker slots.  Probe one instance per bolt component for
+    // state.
     let mut slot_tasks: Vec<Vec<u32>> = vec![Vec::new(); cfg.workers];
+    let mut task_slot = vec![None; n_tasks];
+    let mut stateful = vec![false; n_tasks];
+    let mut task_names = vec![String::new(); n_tasks];
+    let mut inputs: Vec<Vec<(Fields, u32)>> = vec![Vec::new(); n_tasks];
+    let mut has_spout = false;
     let mut next_slot = 0usize;
-    let mut spout_tasks: Vec<(usize, usize, usize)> = Vec::new(); // (component, task, task_index)
     for component in topology.components() {
-        let stateful = match &component.kind {
-            ComponentKind::Bolt(factory) => factory().stateful().is_some(),
-            ComponentKind::Spout(_) => false,
-        };
-        component_stateful.push(stateful);
-        for (task_index, task) in component.tasks().enumerate() {
-            task_component[task.0] = component.id.0;
-            match &component.kind {
-                ComponentKind::Spout(_) => {
-                    spout_tasks.push((component.id.0, task.0, task_index));
+        for task in component.tasks() {
+            task_names[task.0] = component.name.clone();
+        }
+        for decl in &component.outputs {
+            let idx = intern
+                .lookup(component.id.0, decl.id.as_str())
+                .expect("declared stream is interned");
+            for (sub, _) in topology.subscribers_of(component.id, &decl.id) {
+                for task in sub.tasks() {
+                    inputs[task.0].push((decl.fields.clone(), idx));
                 }
-                ComponentKind::Bolt(_) => {
-                    task_owner[task.0] = Some(next_slot);
+            }
+        }
+        match &component.kind {
+            ComponentKind::Spout(_) => has_spout = true,
+            ComponentKind::Bolt(factory) => {
+                let is_stateful = factory().stateful().is_some();
+                for task in component.tasks() {
+                    task_slot[task.0] = Some(next_slot);
                     slot_tasks[next_slot].push(task.0 as u32);
+                    stateful[task.0] = is_stateful;
                     next_slot = (next_slot + 1) % cfg.workers;
                 }
             }
         }
     }
-    if spout_tasks.is_empty() {
+    if !has_spout {
         return Err(Error::Config("topology has no spout".into()));
     }
 
-    let ledger = CreditLedger::new(n_tasks);
-    let window = if rt.credit_flow {
-        (rt.credit_window.max(1) * rt.batch_size.max(1)) as u64
-    } else {
-        DEFAULT_WINDOW_TUPLES
-    };
-    for (task, owner) in task_owner.iter().enumerate() {
-        if owner.is_some() {
-            ledger.set_window(task, window);
-        }
-    }
-
-    let (listener, endpoint) = match cfg.transport {
-        TransportKind::Tcp => Listener::tcp_loopback()?,
-        #[cfg(unix)]
-        TransportKind::Auto | TransportKind::Unix => Listener::unix_temp()?,
-        #[cfg(not(unix))]
-        TransportKind::Auto => Listener::tcp_loopback()?,
-    };
-
-    let store = CheckpointStore::new(
-        n_tasks,
-        rt.checkpoint_spill_threshold,
-        rt.checkpoint_spill_dir.clone(),
-    );
-    let journal = Journal::default();
-    if rt.checkpoints {
-        journal.append(JournalEvent::RecoveryMode {
-            time_s: 0.0,
-            mode: rt.recovery_mode.as_str().to_owned(),
-        });
-    }
-
-    // Coordinator-side tracer meta: component name per task, worker = the
-    // owning slot (spout tasks live on the coordinator and get the
-    // one-past-the-fleet pseudo-slot).
-    let span_meta: Vec<(String, usize)> = (0..n_tasks)
-        .map(|t| {
-            let comp = topology.component(ComponentId(task_component[t]));
-            (comp.name.clone(), task_owner[t].unwrap_or(cfg.workers))
+    // A batch flushed toward a bolt task goes to its slot's outbound queue.
+    let outbound: Vec<(Sender<Outbound>, Receiver<Outbound>)> =
+        (0..cfg.workers).map(|_| unbounded()).collect();
+    let queued: Vec<Arc<AtomicU64>> = (0..cfg.workers).map(|_| Arc::default()).collect();
+    let sinks = task_slot
+        .iter()
+        .map(|slot| {
+            slot.map(|s| {
+                let tx = outbound[s].0.clone();
+                let queued = Arc::clone(&queued[s]);
+                Arc::new(move |task, batch: rt::Batch| {
+                    queued.fetch_add(batch.items.len() as u64, Ordering::Relaxed);
+                    let _ = tx.send(Outbound::Tuples { task, batch });
+                }) as RemoteSink
+            })
         })
         .collect();
-    let tracer = Tracer::new(rt.trace_sample_rate, n_tasks + 1, span_meta);
-    let metrics = Arc::new(Registry::new());
-    let coord_metrics = CoordMetrics::new(&metrics);
-    let slot_gauges = (0..cfg.workers)
-        .map(|i| SlotGauges::new(&metrics, i))
-        .collect();
-    let metrics_server = match rt.metrics_addr {
-        Some(addr) => Some(
-            MetricsServer::bind(addr, Arc::clone(&metrics))
-                .map_err(|e| Error::Config(format!("metrics_addr {addr} bind failed: {e}")))?,
-        ),
-        None => None,
-    };
 
-    let shared = Arc::new(Shared {
+    #[cfg(unix)]
+    let (listener, endpoint) = Listener::unix_temp()?;
+    #[cfg(not(unix))]
+    let (listener, endpoint) = Listener::tcp_loopback()?;
+
+    let running = rt::submit_remote(topology, engine.clone(), rt.clone(), sinks)?;
+    let registry = running.registry();
+    let slots = slot_tasks
+        .into_iter()
+        .zip(outbound)
+        .zip(queued)
+        .enumerate()
+        .map(|(i, ((tasks, (outbound, outbound_rx)), queued))| Slot {
+            tasks,
+            outbound,
+            outbound_rx,
+            queued,
+            outstanding: AtomicU64::new(0),
+            pid: AtomicU32::new(0),
+            generation: AtomicU64::new(0),
+            connected: AtomicBool::new(false),
+            stats: ConnStats::new(),
+            gauges: SlotGauges::new(&registry, i),
+            life: Mutex::new(SlotLife::default()),
+        })
+        .collect();
+    let fleet = Arc::new(Fleet {
+        ctx: running.remote_ctx(),
         topology_key: topology_name.to_owned(),
-        cfg_args_str: args.to_owned(),
+        args: args.to_owned(),
+        task_count: n_tasks,
         intern,
-        router,
-        ackers: ShardedAcker::new(rt.acker_shards.max(1)),
-        ledger,
-        store,
-        journal,
-        counters: Counters::default(),
-        tracer,
-        worker_spans: Mutex::new(Vec::new()),
-        worker_spans_dropped: AtomicU64::new(0),
-        metrics,
-        coord_metrics,
-        slot_gauges,
-        coord_pid: std::process::id(),
-        latency: Mutex::new(LatencyStats::default()),
-        start: Instant::now(),
-        stop: AtomicBool::new(false),
-        terminate: AtomicBool::new(false),
-        next_token: AtomicU64::new(1),
-        flush_seq: AtomicU64::new(1),
-        task_owner,
-        task_component,
-        component_stateful,
-        slots: slot_tasks
-            .into_iter()
-            .map(|tasks| WorkerSlot {
-                state: Mutex::new(SlotState::default()),
-                tasks,
-            })
-            .collect(),
-        overflow: (0..n_tasks).map(|_| Mutex::new(VecDeque::new())).collect(),
-        spout_inflight: spout_tasks.iter().map(|_| AtomicUsize::new(0)).collect(),
-        reader_threads: Mutex::new(Vec::new()),
-        topology,
+        task_names,
+        inputs,
+        stateful,
         engine,
         rt,
         cfg,
         endpoint,
+        slots,
+        worker_spans: Mutex::new(Vec::new()),
+        worker_spans_dropped: AtomicU64::new(0),
+        worker_restarts: registry.counter("dsdps_coord_worker_restarts_total", &[]),
+        worker_disconnects: registry.counter("dsdps_coord_worker_disconnects_total", &[]),
+        registry,
+        coord_pid: std::process::id(),
+        stopping: AtomicBool::new(false),
+        threads: Mutex::new(Vec::new()),
     });
 
-    let listener_handle = {
-        let shared = Arc::clone(&shared);
+    let spawn = |name: &str, body: Box<dyn FnOnce() + Send>| {
         std::thread::Builder::new()
-            .name("dist-listener".into())
-            .spawn(move || listener_loop(shared, listener))
-            .map_err(|e| Error::Runtime(format!("spawn listener: {e}")))?
+            .name(name.into())
+            .spawn(body)
+            .map_err(|e| Error::Runtime(format!("spawn {name}: {e}")))
     };
-    let supervisor_handle = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("dist-supervisor".into())
-            .spawn(move || supervisor_loop(shared))
-            .map_err(|e| Error::Runtime(format!("spawn supervisor: {e}")))?
+    let f = Arc::clone(&fleet);
+    let listener = spawn(
+        "dist-listener",
+        Box::new(move || listener_loop(f, listener)),
+    )?;
+    let f = Arc::clone(&fleet);
+    let supervisor = spawn("dist-supervisor", Box::new(move || supervisor_loop(f)))?;
+    let running = RunningDist {
+        fleet,
+        rt: Some(running),
+        listener: Some(listener),
+        supervisor: Some(supervisor),
     };
 
-    // Launch the fleet.
-    for slot_idx in 0..shared.slots.len() {
-        shared.spawn_worker(slot_idx)?;
-    }
-    // Wait for every worker to finish its handshake.
-    let deadline = Instant::now() + shared.cfg.connect_timeout;
-    loop {
-        let connected = shared
+    // Launch the fleet and wait for every handshake.  Spouts are already
+    // running; their tuples wait in the outbound queues until then.
+    let fleet = Arc::clone(&running.fleet);
+    let launched = (0..fleet.slots.len()).try_for_each(|i| fleet.spawn_worker(i));
+    let deadline = Instant::now() + fleet.cfg.connect_timeout;
+    let all_connected = || {
+        fleet
             .slots
             .iter()
-            .filter(|s| s.state.lock().unwrap().connected)
-            .count();
-        if connected == shared.slots.len() {
-            break;
-        }
-        if Instant::now() >= deadline {
-            shared.terminate.store(true, Ordering::Release);
-            for slot in &shared.slots {
-                let mut state = slot.state.lock().unwrap();
-                if let Some(child) = state.child.as_mut() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-            }
-            let _ = listener_handle.join();
-            let _ = supervisor_handle.join();
-            return Err(Error::Runtime(format!(
-                "only {connected}/{} workers connected within {:?}",
-                shared.slots.len(),
-                shared.cfg.connect_timeout
-            )));
-        }
+            .all(|s| s.connected.load(Ordering::Acquire))
+    };
+    while launched.is_ok() && !all_connected() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-
-    // Spout threads + outcome fan-out.
-    let mut feedback = HashMap::new();
-    let mut spout_handles = Vec::new();
-    for (spout_index, (component, task, task_index)) in spout_tasks.iter().copied().enumerate() {
-        let (tx, rx) = mpsc::channel();
-        feedback.insert(task, tx);
-        let shared2 = Arc::clone(&shared);
-        spout_handles.push(
-            std::thread::Builder::new()
-                .name(format!("dist-spout-{task}"))
-                .spawn(move || spout_loop(shared2, component, task, task_index, spout_index, rx))
-                .map_err(|e| Error::Runtime(format!("spawn spout: {e}")))?,
-        );
+    if launched.is_ok() && all_connected() {
+        return Ok(running);
     }
-    let completer_handle = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("dist-completer".into())
-            .spawn(move || completer_loop(shared, feedback))
-            .map_err(|e| Error::Runtime(format!("spawn completer: {e}")))?
-    };
-
-    Ok(RunningDist {
-        shared,
-        listener_handle: Some(listener_handle),
-        supervisor_handle: Some(supervisor_handle),
-        completer_handle: Some(completer_handle),
-        spout_handles,
-        metrics_server,
-    })
+    let connected = fleet
+        .slots
+        .iter()
+        .filter(|s| s.connected.load(Ordering::Acquire))
+        .count();
+    drop(running);
+    launched?;
+    Err(Error::Runtime(format!(
+        "only {connected}/{} workers connected within {:?}",
+        fleet.slots.len(),
+        fleet.cfg.connect_timeout
+    )))
 }
 
 /// Handle on a running distributed topology.
 pub struct RunningDist {
-    shared: Arc<Shared>,
-    listener_handle: Option<JoinHandle<()>>,
-    supervisor_handle: Option<JoinHandle<()>>,
-    completer_handle: Option<JoinHandle<()>>,
-    spout_handles: Vec<JoinHandle<SpoutThreadResult>>,
-    metrics_server: Option<MetricsServer>,
+    fleet: Arc<Fleet>,
+    /// The coordinator's threaded runtime; taken at shutdown.
+    rt: Option<RunningTopology>,
+    listener: Option<JoinHandle<()>>,
+    supervisor: Option<JoinHandle<()>>,
 }
 
 impl RunningDist {
+    fn rt(&self) -> &RunningTopology {
+        self.rt.as_ref().expect("runtime lives until shutdown")
+    }
+
     /// OS process ids of the current worker fleet (0 = not connected).
     pub fn worker_pids(&self) -> Vec<u32> {
-        self.shared
+        self.fleet
             .slots
             .iter()
-            .map(|s| s.state.lock().unwrap().pid)
+            .map(|s| s.pid.load(Ordering::Acquire))
             .collect()
     }
 
     /// The coordinator's OS process id (spout-emit and terminal spans are
     /// stamped with it in the merged trace).
     pub fn coordinator_pid(&self) -> u32 {
-        self.shared.coord_pid
+        self.fleet.coord_pid
     }
 
     /// Address of the unified Prometheus endpoint, when
     /// [`RtConfig::metrics_addr`] was set (resolves port 0).  It serves
-    /// the coordinator's families plus every worker's pushed metrics under
+    /// the runtime's families plus every worker's pushed metrics under
     /// `worker`/`generation` labels.
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        self.metrics_server.as_ref().map(|s| s.local_addr())
+        self.rt().metrics_addr()
     }
 
     /// Kills worker `idx`'s OS process (SIGKILL), as a fault-injection
     /// hook.  The supervisor respawns it within the restart budget.
     pub fn kill_worker(&self, idx: usize) -> Result<()> {
         let slot = self
-            .shared
+            .fleet
             .slots
             .get(idx)
             .ok_or_else(|| Error::Config(format!("no worker slot {idx}")))?;
-        let mut state = slot.state.lock().unwrap();
-        match state.child.as_mut() {
-            Some(child) => {
-                child
-                    .kill()
-                    .map_err(|e| Error::Runtime(format!("kill worker {idx}: {e}")))?;
-                Ok(())
-            }
+        match slot.life.lock().child.as_mut() {
+            Some(child) => child
+                .kill()
+                .map_err(|e| Error::Runtime(format!("kill worker {idx}: {e}"))),
             None => Err(Error::Runtime(format!("worker {idx} has no process"))),
         }
     }
 
     /// Seconds since submit.
     pub fn uptime_s(&self) -> f64 {
-        self.shared.now_s()
+        self.rt().uptime_s()
     }
 
     /// Messages fully acked so far.
     pub fn acked(&self) -> u64 {
-        self.shared.counters.acked.load(Ordering::Relaxed)
+        self.rt().acked()
     }
 
     /// Distinct messages tracked so far.
     pub fn tracked(&self) -> u64 {
-        self.shared.counters.tracked.load(Ordering::Relaxed)
+        self.rt().tracked()
     }
 
     /// Spout emissions so far (fresh, not counting replays).
     pub fn spout_emitted(&self) -> u64 {
-        self.shared.counters.spout_emitted.load(Ordering::Relaxed)
+        self.rt().spout_emitted()
     }
 
     /// Tuple trees currently pending in the acker.
     pub fn pending_trees(&self) -> usize {
-        self.shared.ackers.pending_count()
+        self.fleet.ctx.shared().ackers.pending_count()
+    }
+
+    /// Asks every worker to exit, waits for the processes (killing
+    /// stragglers) and joins the fleet's threads.  Readers run until their
+    /// connection's EOF, so the workers' final telemetry pushes land.
+    fn stop_fleet(&mut self) {
+        let fleet = &self.fleet;
+        fleet.stopping.store(true, Ordering::Release);
+        if let Some(h) = self.supervisor.take() {
+            let _ = h.join();
+        }
+        if let Some(h) = self.listener.take() {
+            let _ = h.join();
+        }
+        for slot in &fleet.slots {
+            let _ = slot.outbound.send(Outbound::Control(Frame::Shutdown));
+        }
+        for slot in &fleet.slots {
+            let Some(mut child) = slot.life.lock().child.take() else {
+                continue;
+            };
+            // Give the worker a moment to exit cleanly, then force it.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            loop {
+                match child.try_wait() {
+                    Ok(Some(_)) => break,
+                    Ok(None) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(5))
+                    }
+                    _ => {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                        break;
+                    }
+                }
+            }
+        }
+        let threads = std::mem::take(&mut *fleet.threads.lock());
+        for h in threads {
+            let _ = h.join();
+        }
     }
 
     /// Stops the spouts, drains in-flight trees (forcing checkpoints and
     /// deferred-ack flushes), tears the fleet down and reports.
     pub fn shutdown(mut self) -> DistReport {
-        let shared = &self.shared;
-        shared.stop.store(true, Ordering::Release);
+        let fleet = Arc::clone(&self.fleet);
+        self.rt().drain();
         // Drain: nudge workers to checkpoint + flush deferred acks until
         // every tree settles or the budget expires.
-        let deadline = Instant::now() + shared.cfg.drain_timeout;
-        let mut drained_clean = false;
-        loop {
-            if shared.quiesced() {
-                drained_clean = true;
-                break;
+        let deadline = Instant::now() + fleet.cfg.drain_timeout;
+        let mut seq = 0;
+        let drained_clean = loop {
+            if fleet.quiesced() {
+                break true;
             }
             if Instant::now() >= deadline {
-                break;
+                break false;
             }
-            let seq = shared.flush_seq.fetch_add(1, Ordering::Relaxed);
-            for slot in &shared.slots {
-                let mut state = slot.state.lock().unwrap();
-                if let Some(writer) = state.writer.as_mut() {
-                    if writer.send(&Frame::Flush { seq }).is_err() {
-                        state.connected = false;
-                    }
-                }
+            seq += 1;
+            for slot in &fleet.slots {
+                let _ = slot.outbound.send(Outbound::Control(Frame::Flush { seq }));
             }
             std::thread::sleep(Duration::from_millis(20));
-        }
-        shared.terminate.store(true, Ordering::Release);
-        // Spouts exit first (they drain their feedback channels on the
-        // way out), then the fan-out machinery.
-        let mut in_flight = 0u64;
-        for handle in self.spout_handles.drain(..) {
-            if let Ok(result) = handle.join() {
-                in_flight += result.in_flight as u64;
-            }
-        }
-        if let Some(h) = self.completer_handle.take() {
-            let _ = h.join();
-        }
-        // Stop the fleet.
-        for slot in &shared.slots {
-            let mut state = slot.state.lock().unwrap();
-            if let Some(writer) = state.writer.as_mut() {
-                let _ = writer.send(&Frame::Shutdown);
-            }
-        }
-        for slot in &shared.slots {
-            let mut state = slot.state.lock().unwrap();
-            if let Some(mut child) = state.child.take() {
-                // Give the worker a moment to exit cleanly, then force it.
-                let deadline = Instant::now() + Duration::from_secs(2);
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(5))
-                        }
-                        _ => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(writer) = state.writer.take() {
-                let c = &shared.counters;
-                c.bytes_out.fetch_add(writer.bytes_out, Ordering::Relaxed);
-                c.frames_out.fetch_add(writer.frames_out, Ordering::Relaxed);
-                writer.shutdown();
-            }
-            state.connected = false;
-        }
-        if let Some(h) = self.listener_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.supervisor_handle.take() {
-            let _ = h.join();
-        }
-        let readers = std::mem::take(&mut *shared.reader_threads.lock().unwrap());
-        for h in readers {
-            let _ = h.join();
-        }
-        if let Some(server) = self.metrics_server.take() {
-            server.shutdown();
-        }
+        };
+        self.stop_fleet();
+        let rt = self.rt.take().expect("runtime lives until shutdown");
+        let shared = fleet.ctx.shared();
+        let final_snapshots = (0..fleet.task_count)
+            .map(|task| {
+                let store = shared.checkpoints.as_ref()?;
+                store.load(task, u64::MAX)?.base
+            })
+            .collect();
+        let (_, r) = rt.shutdown();
+        let replays_scheduled = r.journal_of_kind("replay_scheduled").len() as u64;
 
-        // One merged trace: the coordinator's spout-emit/terminal spans
-        // (stamped with its own pid; worker spans arrived pre-stamped and
-        // clock-normalized in the reader threads).
-        let (mut spans, own_dropped) = shared.tracer.snapshot();
+        // One merged trace: the runtime's spout-emit/terminal spans,
+        // stamped with this process's pid, plus the worker hop spans.
+        let mut spans = r.spans;
         for s in &mut spans {
-            s.pid = shared.coord_pid;
+            s.pid = fleet.coord_pid;
         }
-        spans.extend(shared.worker_spans.lock().unwrap().drain(..));
+        spans.extend(fleet.worker_spans.lock().drain(..));
         spans.sort_by(|a, b| {
             (a.trace_id, a.start_us, a.kind.is_terminal()).cmp(&(
                 b.trace_id,
@@ -1904,58 +1331,60 @@ impl RunningDist {
                 b.kind.is_terminal(),
             ))
         });
-        let spans_dropped = own_dropped + shared.worker_spans_dropped.load(Ordering::Relaxed);
-
-        let c = &shared.counters;
-        let latency = shared.latency.lock().unwrap();
-        let final_snapshots = (0..shared.topology.task_count())
-            .map(|task| {
-                shared
-                    .store
-                    .load(task, u64::MAX)
-                    .and_then(|restored| restored.base)
-            })
-            .collect();
-        DistReport {
-            uptime_s: shared.now_s(),
-            spout_emitted: c.spout_emitted.load(Ordering::Relaxed),
-            tracked: c.tracked.load(Ordering::Relaxed),
-            acked: c.acked.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
-            permanently_failed: c.permanently_failed.load(Ordering::Relaxed),
-            replays_scheduled: c.replays_scheduled.load(Ordering::Relaxed),
-            replays_emitted: c.replays_emitted.load(Ordering::Relaxed),
-            in_flight,
-            avg_complete_latency_ms: latency.avg(),
-            p99_complete_latency_ms: latency.p99(),
-            credits: shared.ledger.totals(),
-            checkpoints_taken: c.checkpoints_taken.load(Ordering::Relaxed),
-            restores: c.restores.load(Ordering::Relaxed),
-            snapshot_bytes: c.snapshot_bytes.load(Ordering::Relaxed),
-            worker_pids: shared
+        let total = |f: fn(&ConnStats) -> &AtomicU64| -> u64 {
+            fleet
                 .slots
                 .iter()
-                .map(|s| s.state.lock().unwrap().pid)
-                .collect(),
-            worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
-            worker_disconnects: c.worker_disconnects.load(Ordering::Relaxed),
-            bytes_sent: c.bytes_out.load(Ordering::Relaxed),
-            bytes_received: c.bytes_in.load(Ordering::Relaxed),
-            frames_sent: c.frames_out.load(Ordering::Relaxed),
-            frames_received: c.frames_in.load(Ordering::Relaxed),
-            journal: shared.journal.events(),
+                .map(|s| f(&s.stats).load(Ordering::Relaxed))
+                .sum()
+        };
+        DistReport {
+            uptime_s: r.uptime_s,
+            spout_emitted: r.spout_emitted,
+            tracked: r.tracked,
+            acked: r.acked,
+            failed: r.failed,
+            timed_out: r.timed_out,
+            permanently_failed: r.permanently_failed,
+            replays_scheduled,
+            replays_emitted: r.replays,
+            in_flight: r.in_flight,
+            avg_complete_latency_ms: r.avg_complete_latency_ms,
+            p99_complete_latency_ms: r.p99_complete_latency_ms,
+            credits: r.credits,
+            checkpoints_taken: r.checkpoints_taken,
+            restores: r.restores,
+            snapshot_bytes: r.snapshot_bytes,
+            worker_pids: self.worker_pids(),
+            worker_restarts: fleet.worker_restarts.get(),
+            worker_disconnects: fleet.worker_disconnects.get(),
+            bytes_sent: total(|s| &s.bytes_out),
+            bytes_received: total(|s| &s.bytes_in),
+            frames_sent: total(|s| &s.frames_out),
+            frames_received: total(|s| &s.frames_in),
+            journal: r.journal,
             spans,
-            spans_dropped,
-            coordinator_pid: shared.coord_pid,
+            spans_dropped: r.spans_dropped + fleet.worker_spans_dropped.load(Ordering::Relaxed),
+            coordinator_pid: fleet.coord_pid,
             final_snapshots,
             drained_clean,
         }
     }
 }
 
-/// Final accounting of a distributed run; the cross-process counterpart
-/// of the threaded runtime's `ThreadedReport`.
+impl Drop for RunningDist {
+    /// A handle dropped without [`shutdown`](RunningDist::shutdown) still
+    /// takes its worker processes down.
+    fn drop(&mut self) {
+        if self.rt.is_some() {
+            self.stop_fleet();
+        }
+    }
+}
+
+/// Final accounting of a distributed run: the threaded runtime's report
+/// (every tuple, tree, credit and checkpoint figure comes from it) plus the
+/// fleet's processes, connections and merged cross-process trace.
 #[derive(Debug)]
 pub struct DistReport {
     /// Wall-clock seconds from submit to shutdown.
@@ -1970,19 +1399,20 @@ pub struct DistReport {
     pub failed: u64,
     /// Tree-timeout events (per tree, not per message).
     pub timed_out: u64,
-    /// Messages that exhausted their replay budget.
+    /// Messages permanently failed: replay budget exhausted, or — with
+    /// replay off — every failed/timed-out tree.
     pub permanently_failed: u64,
     /// Replays scheduled (backoff timers armed).
     pub replays_scheduled: u64,
     /// Replays re-emitted under fresh trees.
     pub replays_emitted: u64,
-    /// Messages still in replay buffers at shutdown.
+    /// Messages still unresolved at shutdown.
     pub in_flight: u64,
     /// Mean tree-completion latency, milliseconds.
     pub avg_complete_latency_ms: f64,
-    /// p99 tree-completion latency, milliseconds (reservoir-sampled).
+    /// p99 tree-completion latency, milliseconds.
     pub p99_complete_latency_ms: f64,
-    /// Flow-control ledger totals.
+    /// Flow-control ledger totals (all zero when credit flow was off).
     pub credits: CreditTotals,
     /// Checkpoints deposited by workers.
     pub checkpoints_taken: u64,
@@ -2016,7 +1446,7 @@ pub struct DistReport {
     /// spans in the merged trace).
     pub coordinator_pid: u32,
     /// Latest checkpointed snapshot per task at shutdown (`None` for
-    /// stateless/spout tasks).
+    /// stateless/spout tasks, and for every task with checkpoints off).
     pub final_snapshots: Vec<Option<StateSnapshot>>,
     /// Whether the shutdown drain reached a fully quiesced state within
     /// its budget.

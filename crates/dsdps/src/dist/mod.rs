@@ -1,16 +1,23 @@
-//! The distributed runtime: worker *processes* connected over TCP (Unix
-//! domain sockets where available).
+//! The distributed runtime: worker *processes* connected over Unix domain
+//! sockets (loopback TCP on platforms without them).
 //!
 //! This is the third backend next to the simulator ([`crate::sim`]) and
 //! the threaded runtime ([`crate::rt`]).  The spout/bolt/grouping API and
 //! the [`RtConfig`](crate::rt::RtConfig) knobs are identical — the same
-//! topology runs unmodified on all three.  What changes is placement:
+//! topology runs unmodified on all three.  A distributed run *is* a
+//! threaded run whose bolt tasks execute on remote executors:
 //!
-//! * the **coordinator** (this process) runs the spouts, the sharded
-//!   acker, the replay buffers, the credit ledger, the checkpoint store,
-//!   all routing, and the process supervisor;
+//! * the **coordinator** (this process) runs the threaded runtime —
+//!   spouts, routers, the sharded acker, replay, timeouts, credits, the
+//!   checkpoint store, metrics — with every bolt task's input batches
+//!   sent to the worker hosting it;
 //! * **workers** are separate OS processes that execute bolts and speak
 //!   the compact binary wire protocol of [`codec`] over [`transport`].
+//!
+//! What this module adds is only what processes need: the wire protocol,
+//! spawning and respawning workers, the handshake (with state restore on
+//! respawn), one writer and one reader thread per connection, and the
+//! merging of worker spans and metrics into the coordinator's view.
 //!
 //! Workers are spawned from a command line ([`DistConfig::worker_cmd`])
 //! that must start a binary hosting the same [`TopologyRegistry`] — the
@@ -57,19 +64,6 @@ use serde::{Deserialize, Serialize};
 use crate::rt::RecoveryMode;
 use crate::telemetry::SpanKind;
 
-/// Which socket family connects coordinator and workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// Unix domain sockets where the platform has them, TCP otherwise.
-    #[default]
-    Auto,
-    /// Loopback TCP.
-    Tcp,
-    /// Unix domain sockets (unix platforms only).
-    #[cfg(unix)]
-    Unix,
-}
-
 /// Deployment knobs of the distributed backend.  Everything about *what*
 /// runs (batching, credit windows, checkpoints, recovery guarantee) stays
 /// in [`RtConfig`](crate::rt::RtConfig); this only describes the worker
@@ -84,8 +78,6 @@ pub struct DistConfig {
     /// environment; the binary must call
     /// [`maybe_worker_from_env`] with a registry containing the topology.
     pub worker_cmd: Vec<String>,
-    /// Socket family.
-    pub transport: TransportKind,
     /// How long spawn + connect + hello may take per worker.
     pub connect_timeout: Duration,
     /// Respawn budget per worker slot; beyond it the slot stays down and
@@ -101,17 +93,10 @@ impl DistConfig {
         DistConfig {
             workers: workers.max(1),
             worker_cmd,
-            transport: TransportKind::Auto,
             connect_timeout: Duration::from_secs(10),
             max_worker_restarts: 3,
             drain_timeout: Duration::from_secs(10),
         }
-    }
-
-    /// Selects the socket family.
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
     }
 
     /// Sets the per-worker spawn/connect budget.

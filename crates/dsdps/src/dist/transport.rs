@@ -5,11 +5,11 @@
 //! [`FrameReader`] accumulates bytes into one reusable buffer and yields a
 //! frame as soon as its length prefix is satisfied, returning `Ok(None)`
 //! on a read timeout so callers can interleave periodic work.  Writing
-//! goes through a [`BatchWriter`] that performs the encoder-side batching
-//! the `RtConfig` knobs describe: tuple deliveries accumulate until
-//! `batch_size` of them (or the `linger` deadline) and leave as a single
-//! `TupleBatch` frame in one vectored write; control frames flush pending
-//! tuples first so cross-frame ordering is preserved.
+//! goes through a [`FrameWriter`], one vectored write per frame out of one
+//! reusable encode buffer.  Tuple batching happens upstream, in the
+//! runtime's per-destination output buffers (`RtConfig::batch_size` /
+//! `linger`): the coordinator writes each flushed batch as one
+//! `TupleBatch` frame.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::codec::{self, Frame, WireTuple, MAX_FRAME_LEN};
+use super::codec::{self, Frame, MAX_FRAME_LEN};
 use crate::error::{Error, Result};
 use crate::telemetry::HOT_PATH_TELEMETRY;
 
@@ -312,10 +312,6 @@ pub struct FrameReader {
     filled: usize,
     /// Parse offset within `buf[..filled]`.
     pos: usize,
-    /// Total payload bytes received (telemetry).
-    pub bytes_in: u64,
-    /// Total frames decoded (telemetry).
-    pub frames_in: u64,
     /// Shared live counters, when someone is watching.
     stats: Option<Arc<ConnStats>>,
 }
@@ -328,8 +324,6 @@ impl FrameReader {
             buf: vec![0; 64 * 1024],
             filled: 0,
             pos: 0,
-            bytes_in: 0,
-            frames_in: 0,
             stats: None,
         }
     }
@@ -370,7 +364,6 @@ impl FrameReader {
         let frame = codec::decode_frame(&self.buf[body_start..body_end])
             .map_err(|e| Error::Runtime(format!("decode frame: {e}")))?;
         self.pos = body_end;
-        self.frames_in += 1;
         if let Some(stats) = &self.stats {
             stats.frames_in.fetch_add(1, Ordering::Relaxed);
             stats.last_rx_us.store(stats.now_us(), Ordering::Relaxed);
@@ -405,7 +398,6 @@ impl FrameReader {
                 Ok(0) => return Err(Error::Runtime("connection closed".into())),
                 Ok(n) => {
                     self.filled += n;
-                    self.bytes_in += n as u64;
                     if let Some(stats) = &self.stats {
                         stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                     }
@@ -423,41 +415,21 @@ impl FrameReader {
     }
 }
 
-/// Batching frame writer: the wire-side half of `batch_size`/`linger`.
-///
-/// Tuple deliveries pushed with [`push_tuple`](Self::push_tuple) are held
-/// until `batch_size` of them accumulate or `linger` elapses, then leave
-/// as one `TupleBatch` frame.  Control frames sent with
-/// [`send`](Self::send) flush pending tuples first, so the byte stream
-/// never reorders across frame kinds.  All frame bytes go out as a single
-/// vectored write of `[length-prefix, body]` from one reusable buffer.
-pub struct BatchWriter {
+/// Frame writer: every frame leaves as a single vectored write of
+/// `[length-prefix, body]` out of one reusable encode buffer.
+pub struct FrameWriter {
     conn: Conn,
-    items: Vec<WireTuple>,
     scratch: Vec<u8>,
-    batch_size: usize,
-    linger: Duration,
-    oldest_item: Option<Instant>,
-    /// Total payload bytes written (telemetry).
-    pub bytes_out: u64,
-    /// Total frames written (telemetry).
-    pub frames_out: u64,
     /// Shared live counters, when someone is watching.
     stats: Option<Arc<ConnStats>>,
 }
 
-impl BatchWriter {
-    /// Wraps a connection with the given batching knobs.
-    pub fn new(conn: Conn, batch_size: usize, linger: Duration) -> Self {
-        BatchWriter {
+impl FrameWriter {
+    /// Wraps a connection.
+    pub fn new(conn: Conn) -> Self {
+        FrameWriter {
             conn,
-            items: Vec::with_capacity(batch_size.max(1)),
             scratch: Vec::with_capacity(8 * 1024),
-            batch_size: batch_size.max(1),
-            linger,
-            oldest_item: None,
-            bytes_out: 0,
-            frames_out: 0,
             stats: None,
         }
     }
@@ -467,56 +439,14 @@ impl BatchWriter {
         self.stats = Some(stats);
     }
 
-    /// Queues one tuple delivery, flushing if the batch is now full.
-    pub fn push_tuple(&mut self, item: WireTuple) -> Result<()> {
-        self.items.push(item);
-        if self.oldest_item.is_none() {
-            self.oldest_item = Some(Instant::now());
-        }
-        if self.items.len() >= self.batch_size {
-            self.flush_items()?;
-        }
-        Ok(())
-    }
-
-    /// Sends a control frame, flushing pending tuple deliveries first.
+    /// Encodes and sends one frame.
     pub fn send(&mut self, frame: &Frame) -> Result<()> {
-        self.flush_items()?;
-        self.write_frame_body(|buf| codec::encode_frame_body(frame, buf))
+        self.send_body(|buf| codec::encode_frame_body(frame, buf))
     }
 
-    /// Flushes pending tuples if the linger deadline has passed; returns
-    /// the deadline of the oldest still-pending tuple otherwise.
-    pub fn poll_linger(&mut self) -> Result<Option<Instant>> {
-        match self.oldest_item {
-            Some(t0) if t0.elapsed() >= self.linger => {
-                self.flush_items()?;
-                Ok(None)
-            }
-            Some(t0) => Ok(Some(t0 + self.linger)),
-            None => Ok(None),
-        }
-    }
-
-    /// Flushes any pending tuple batch immediately.
-    pub fn flush_items(&mut self) -> Result<()> {
-        if self.items.is_empty() {
-            self.oldest_item = None;
-            return Ok(());
-        }
-        let t0 = self.encode_clock();
-        self.scratch.clear();
-        self.scratch.push(super::codec::TUPLE_BATCH_TAG);
-        codec::write_varint(&mut self.scratch, self.items.len() as u64);
-        for item in self.items.drain(..) {
-            codec::write_tuple_item(&mut self.scratch, &item);
-        }
-        self.note_encode(t0);
-        self.oldest_item = None;
-        self.write_scratch()
-    }
-
-    fn write_frame_body(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+    /// Sends one frame whose body `encode` writes (tag byte first), for
+    /// callers that encode straight from their own data structures.
+    pub fn send_body(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
         let t0 = self.encode_clock();
         self.scratch.clear();
         encode(&mut self.scratch);
@@ -565,8 +495,6 @@ impl BatchWriter {
                 Err(e) => return Err(Error::Runtime(format!("write: {e}"))),
             }
         }
-        self.bytes_out += total as u64;
-        self.frames_out += 1;
         if let Some(stats) = &self.stats {
             stats.bytes_out.fetch_add(total as u64, Ordering::Relaxed);
             stats.frames_out.fetch_add(1, Ordering::Relaxed);
@@ -578,16 +506,12 @@ impl BatchWriter {
         }
         Ok(())
     }
-
-    /// Shuts the underlying socket down (unblocks the peer's reader).
-    pub fn shutdown(&self) {
-        self.conn.shutdown();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::codec::WireTuple;
     use crate::tuple::Value;
 
     fn pair() -> (Conn, Conn) {
@@ -613,7 +537,7 @@ mod tests {
     #[test]
     fn frames_survive_the_socket() {
         let (client, server) = pair();
-        let mut w = BatchWriter::new(client, 4, Duration::from_millis(1));
+        let mut w = FrameWriter::new(client);
         let mut r = FrameReader::new(server);
         r.conn
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -625,8 +549,8 @@ mod tests {
             clock_us: 17,
         };
         w.send(&hello).unwrap();
-        for i in 0..4 {
-            w.push_tuple(WireTuple {
+        let items: Vec<WireTuple> = (0..4)
+            .map(|i| WireTuple {
                 token: i,
                 dest_task: 2,
                 stream: 0,
@@ -634,51 +558,30 @@ mod tests {
                 trace_root: Some(i + 1),
                 values: vec![Value::from(i as i64)],
             })
-            .unwrap();
-        }
+            .collect();
+        w.send_body(|buf| {
+            buf.push(codec::TUPLE_BATCH_TAG);
+            codec::write_varint(buf, items.len() as u64);
+            for item in &items {
+                codec::write_tuple_item(buf, item);
+            }
+        })
+        .unwrap();
         w.send(&Frame::Shutdown).unwrap();
 
         assert_eq!(r.read_frame().unwrap().unwrap(), hello);
-        match r.read_frame().unwrap().unwrap() {
-            Frame::TupleBatch { items } => {
-                assert_eq!(items.len(), 4);
-                assert_eq!(items[3].token, 3);
-            }
-            other => panic!("expected tuple batch, got {}", other.kind()),
-        }
+        assert_eq!(
+            r.read_frame().unwrap().unwrap(),
+            Frame::TupleBatch { items },
+            "a batch encoded in place decodes like the frame it spells"
+        );
         assert_eq!(r.read_frame().unwrap().unwrap(), Frame::Shutdown);
-    }
-
-    #[test]
-    fn linger_flushes_partial_batches() {
-        let (client, server) = pair();
-        let mut w = BatchWriter::new(client, 64, Duration::from_millis(5));
-        let mut r = FrameReader::new(server);
-        r.conn
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        w.push_tuple(WireTuple {
-            token: 7,
-            dest_task: 0,
-            stream: 0,
-            dedup: Some(9),
-            trace_root: None,
-            values: vec![],
-        })
-        .unwrap();
-        // Not full: nothing on the wire until the linger deadline passes.
-        std::thread::sleep(Duration::from_millis(10));
-        w.poll_linger().unwrap();
-        match r.read_frame().unwrap().unwrap() {
-            Frame::TupleBatch { items } => assert_eq!(items[0].token, 7),
-            other => panic!("expected tuple batch, got {}", other.kind()),
-        }
     }
 
     #[test]
     fn conn_stats_track_frames_and_bytes() {
         let (client, server) = pair();
-        let mut w = BatchWriter::new(client, 1, Duration::ZERO);
+        let mut w = FrameWriter::new(client);
         let mut r = FrameReader::new(server);
         r.conn
             .set_read_timeout(Some(Duration::from_secs(5)))

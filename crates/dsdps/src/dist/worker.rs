@@ -3,18 +3,19 @@
 //! A worker is a single-threaded bolt-execution server.  It connects to
 //! the coordinator, introduces itself with `Hello`, receives an `Assign`
 //! naming a topology from its [`TopologyRegistry`] and the bolt tasks it
-//! owns, then loops: execute delivered tuples, answer with results and
-//! credit grants, checkpoint stateful tasks on the configured interval,
-//! tick bolts, and obey `Flush`/`RestoreState`/`Shutdown`.
+//! owns, then loops: execute delivered tuples, answer each `TupleBatch`
+//! with one `ResultBatch` (results in delivery order), checkpoint stateful
+//! tasks on the configured interval, tick bolts, and obey
+//! `Flush`/`RestoreState`/`Shutdown`.
 //!
-//! Acks under `ExactlyOnceEffect` / `AtLeastOnce` recovery are
-//! **deferred**: a stateful task's input is reported `deferred` and its
-//! ack withheld until a `CheckpointDeposit` covering it has been sent
-//! (frames are processed in order on both sides, so deposit-then-ack-flush
-//! guarantees the coordinator never acks an input whose effect could be
-//! lost with the worker).  `ExactlyOnceEffect` additionally keeps a
-//! replay-dedup set of applied spout message ids so a redelivered tuple is
-//! acknowledged without being applied twice.
+//! With checkpoints on, acks under `ExactlyOnceEffect` / `AtLeastOnce`
+//! recovery are **deferred**: a stateful task's input is reported
+//! `deferred` and its ack withheld until a `CheckpointDeposit` covering it
+//! has been sent (frames are processed in order on both sides, so
+//! deposit-then-ack-flush guarantees the coordinator never acks an input
+//! whose effect could be lost with the worker).  `ExactlyOnceEffect`
+//! additionally keeps a replay-dedup set of applied spout message ids so a
+//! redelivered tuple is acknowledged without being applied twice.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -22,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::codec::{Frame, InternTable, WireEmission, WireMetric, WireResult, WireSpan};
-use super::transport::{BatchWriter, Conn, ConnStats, Endpoint, FrameReader};
+use super::transport::{Conn, ConnStats, Endpoint, FrameReader, FrameWriter};
 use super::{recovery_from_byte, span_kind_to_byte, DistConfig, LastWordsLine};
 use crate::component::{Bolt, BoltOutput, Emission, TopologyContext};
 use crate::error::{Error, Result};
@@ -170,9 +171,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32
     let stats = ConnStats::new();
     let mut reader = FrameReader::new(conn);
     reader.set_stats(Arc::clone(&stats));
-    // Workers only send control frames (results, grants, deposits), so the
-    // writer's tuple-batching path is idle; batch_size 1 keeps it honest.
-    let mut writer = BatchWriter::new(writer_conn, 1, Duration::ZERO);
+    let mut writer = FrameWriter::new(writer_conn);
     writer.set_stats(Arc::clone(&stats));
     writer.send(&Frame::Hello {
         worker,
@@ -237,7 +236,9 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32
             task_index: task as usize - comp.base_task.0,
             parallelism: comp.parallelism,
         });
-        let stateful = bolt.stateful().is_some();
+        // A zero interval means checkpoints are off: every task then runs
+        // stateless, acking at once and depositing nothing.
+        let stateful = ckpt_interval_us > 0 && bolt.stateful().is_some();
         states.insert(
             task,
             TaskState {
@@ -289,9 +290,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32
                         metrics.batches.inc();
                     }
                     let mut results = Vec::with_capacity(items.len());
-                    let mut credits: HashMap<u32, u64> = HashMap::new();
                     for item in items {
-                        *credits.entry(item.dest_task).or_insert(0) += 1;
                         let Some(ts) = states.get_mut(&item.dest_task) else {
                             results.push(WireResult {
                                 token: item.token,
@@ -370,9 +369,6 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32
                         });
                     }
                     writer.send(&Frame::ResultBatch { items: results })?;
-                    for (task, amount) in credits {
-                        writer.send(&Frame::CreditGrant { task, amount })?;
-                    }
                 }
                 Some(Frame::RestoreState {
                     task,
@@ -548,7 +544,7 @@ impl WorkerMetrics {
 #[allow(clippy::too_many_arguments)]
 fn push_telemetry(
     worker: u32,
-    writer: &mut BatchWriter,
+    writer: &mut FrameWriter,
     tracer: &Tracer,
     registry: &Registry,
     metrics: &WorkerMetrics,
@@ -633,7 +629,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 /// Structured last words while dying: one JSONL line on stderr (the
 /// supervisor's stderr pump parses it even when the socket is gone) plus a
 /// best-effort [`Frame::LastWords`] over the connection.
-fn emit_last_words(writer: &mut BatchWriter, worker: u32, cause: &str, detail: &str) {
+fn emit_last_words(writer: &mut FrameWriter, worker: u32, cause: &str, detail: &str) {
     let line = LastWordsLine {
         dsdps_last_words: true,
         worker,
@@ -655,7 +651,7 @@ fn emit_last_words(writer: &mut BatchWriter, worker: u32, cause: &str, detail: &
 /// aligns the two.
 fn checkpoint_task(
     ts: &mut TaskState,
-    writer: &mut BatchWriter,
+    writer: &mut FrameWriter,
     interval: Duration,
     force: bool,
     metrics: &WorkerMetrics,

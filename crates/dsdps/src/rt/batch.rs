@@ -34,20 +34,21 @@ use crate::component::MessageId;
 use crate::topology::TaskId;
 use crate::tuple::Tuple;
 
+use super::remote::RemoteSink;
 use super::Shared;
 
 /// A tuple instance delivered to a task, with its acker anchor.
-pub(super) struct Delivered {
-    pub(super) tuple: Tuple,
-    pub(super) anchor: Option<(RootId, u64)>,
+pub(crate) struct Delivered {
+    pub(crate) tuple: Tuple,
+    pub(crate) anchor: Option<(RootId, u64)>,
     /// Runtime clock (µs) when the producer routed this instance; `0` unless
     /// the tuple's tree is being traced.  The consumer subtracts this from
     /// its batch-receive time to get the span's queue wait.
-    pub(super) sent_at_us: u64,
+    pub(crate) sent_at_us: u64,
     /// Spout message id the consumer dedups on.  Only set for
     /// spout-emitted tuples under the exactly-once-effect recovery mode;
     /// `None` everywhere else (including all bolt-to-bolt hops).
-    pub(super) dedup: Option<MessageId>,
+    pub(crate) dedup: Option<MessageId>,
 }
 
 /// What travels on a task's input channel: one flushed batch of tuples plus
@@ -55,10 +56,13 @@ pub(super) struct Delivered {
 /// trees only), the batch stamp is always set — one clock read per flush and
 /// one per receive give every batch a queue-wait sample, which is the
 /// always-on signal the adaptive spout throttle steers on.
-pub(super) struct Batch {
-    pub(super) items: Vec<Delivered>,
+pub(crate) struct Batch {
+    pub(crate) items: Vec<Delivered>,
     /// Runtime clock (µs) when the producer handed this batch to the channel.
-    pub(super) sent_at_us: u64,
+    pub(crate) sent_at_us: u64,
+    /// The producer acquired one credit from the destination's pool for
+    /// this batch, so the consumer owes one back once it is processed.
+    pub(crate) credited: bool,
 }
 
 /// Message to a spout thread about one of its tuple trees.  Travels in
@@ -197,32 +201,47 @@ struct Buf {
     since: Option<Instant>,
 }
 
-/// Per-destination output buffers for one task thread.  Owns the channel
-/// senders; every send goes through [`flush_dest`](Self::flush_dest) so the
+/// Where the batches flushed toward one task go.
+#[derive(Clone)]
+pub(super) enum Outlet {
+    /// The input channel of a task running in this process.
+    Channel(Sender<Batch>),
+    /// A task executing in another process (see [`remote`](super::remote)).
+    Remote(RemoteSink),
+}
+
+/// Per-destination output buffers for one task thread.  Owns the outlets;
+/// every send goes through [`flush_dest`](Self::flush_dest) so the
 /// apply-before-send invariant holds in one place.
 pub(super) struct OutputBuffers {
     batch_size: usize,
     linger: Duration,
-    senders: Vec<Sender<Batch>>,
+    outlets: Vec<Outlet>,
     bufs: Vec<Buf>,
     /// Count of non-empty buffers, for cheap idle checks.
     nonempty: usize,
     /// Global id of the owning task (for flush counters).
     task: usize,
+    /// Flushes pass the credit gate.  Off for the buffers of a remote
+    /// task's connection reader, which must never wait: it only routes to
+    /// remote tasks, whose outlets never block, and its batches carry no
+    /// credit.
+    gated: bool,
 }
 
 impl OutputBuffers {
     pub(super) fn new(
         batch_size: usize,
         linger: Duration,
-        senders: Vec<Sender<Batch>>,
+        outlets: Vec<Outlet>,
         task: usize,
+        gated: bool,
     ) -> Self {
-        let n = senders.len();
+        let n = outlets.len();
         Self {
             batch_size: batch_size.max(1),
             linger,
-            senders,
+            outlets,
             bufs: (0..n)
                 .map(|_| Buf {
                     items: Vec::new(),
@@ -231,6 +250,7 @@ impl OutputBuffers {
                 .collect(),
             nonempty: 0,
             task,
+            gated,
         }
     }
 
@@ -276,8 +296,9 @@ impl OutputBuffers {
             stats.linger_flushes.fetch_add(1, Ordering::Relaxed);
         }
         // Credit gate: one credit per batch toward `dest`.  `dest` is the
-        // consumer's global task id, which indexes both senders and pools.
-        if let Some(credits) = shared.credits.as_ref() {
+        // consumer's global task id, which indexes both outlets and pools.
+        let credits = shared.credits.as_ref().filter(|_| self.gated);
+        if let Some(credits) = credits {
             if !credits.try_acquire(dest) {
                 if shared.rt.shed_on_overload {
                     // Shed: fail every anchored tree in the batch so the
@@ -314,9 +335,14 @@ impl OutputBuffers {
         let mut msg = Batch {
             items: batch,
             sent_at_us: shared.now_us(),
+            credited: credits.is_some(),
+        };
+        let sender = match &self.outlets[dest] {
+            Outlet::Channel(sender) => sender,
+            Outlet::Remote(sink) => return sink(dest, msg),
         };
         loop {
-            match self.senders[dest].send_timeout(msg, Duration::from_millis(50)) {
+            match sender.send_timeout(msg, Duration::from_millis(50)) {
                 Ok(()) => break,
                 Err(SendTimeoutError::Timeout(back)) => {
                     if shared.stop.load(Ordering::Relaxed) {

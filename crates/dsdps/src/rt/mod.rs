@@ -38,22 +38,27 @@
 //!
 //! The simulator is the substrate for the paper's experiments (deterministic
 //! virtual time); this runtime exists so the same application code can run
-//! for real, and is exercised by the examples and integration tests.
+//! for real, and is exercised by the examples and integration tests.  It is
+//! also the core of the multi-process backend: [`crate::dist`] runs it with
+//! every bolt task on a remote executor (see [`remote`](self::remote)).
 
 mod batch;
 pub mod checkpoint;
 mod config;
 pub mod credit;
 mod fault;
+mod remote;
 pub(crate) mod replay;
 mod router;
 mod supervisor;
 mod task;
 
+pub(crate) use batch::Batch;
 pub use checkpoint::{RecoveryMode, SnapshotKind, StateSnapshot, StatefulComponent};
 pub use config::RtConfig;
 pub use credit::{CreditLedger, CreditTotals};
 pub use fault::{RtFault, RtFaultPlan};
+pub(crate) use remote::{RemoteCtx, RemoteSink, RemoteTasks};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -76,7 +81,7 @@ use crate::telemetry::{
 };
 use crate::topology::{TaskId, Topology};
 
-use batch::{AckMsg, Batch};
+use batch::{AckMsg, Outlet};
 use fault::FaultInjector;
 use replay::ReplayBuffer;
 use supervisor::{Slot, Supervision, TaskSpec};
@@ -88,6 +93,9 @@ pub(crate) struct Shared {
     /// `root % N`).
     pub(crate) ackers: ShardedAcker,
     pub(crate) stop: AtomicBool,
+    /// Set by [`RunningTopology::drain`]: spouts stop emitting fresh tuples
+    /// and finish the trees they already track, as if their input ended.
+    pub(crate) draining: AtomicBool,
     pub(crate) task_stats: Vec<TaskAtomics>,
     /// In-flight tracked trees per spout task (indexed by global task id).
     pub(crate) pending: Vec<AtomicUsize>,
@@ -293,6 +301,7 @@ pub struct RunningTopology {
     config: EngineConfig,
     registry: Arc<Registry>,
     metrics_server: Option<MetricsServer>,
+    remote: RemoteCtx,
 }
 
 impl RunningTopology {
@@ -357,6 +366,22 @@ impl RunningTopology {
     /// [`RtConfig::metrics_addr`] was set (resolves port 0).
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
         self.metrics_server.as_ref().map(|s| s.local_addr())
+    }
+
+    /// Distinct message ids tracked so far.
+    pub(crate) fn tracked(&self) -> u64 {
+        self.shared.tracked_total.load(Ordering::Relaxed)
+    }
+
+    /// What the distributed runtime needs to complete remote tasks.
+    pub(crate) fn remote_ctx(&self) -> RemoteCtx {
+        self.remote.clone()
+    }
+
+    /// Stops fresh spout emission; spouts stay up until every tree they
+    /// track has resolved.  The rest of the runtime keeps running.
+    pub(crate) fn drain(&self) {
+        self.shared.draining.store(true, Ordering::Relaxed);
     }
 
     /// Snapshot of the sampled trace so far: merged spans plus the count
@@ -650,7 +675,14 @@ impl ThreadedReport {
 
 /// Starts `topology` on OS threads with default (unbatched) runtime tuning.
 pub fn submit(topology: Topology, config: EngineConfig) -> Result<RunningTopology> {
-    submit_inner(topology, config, RtConfig::default(), None, None)
+    submit_inner(
+        topology,
+        config,
+        RtConfig::default(),
+        None,
+        None,
+        Vec::new(),
+    )
 }
 
 /// [`submit`] with explicit runtime tuning (batch size / linger).
@@ -659,7 +691,7 @@ pub fn submit_with(
     config: EngineConfig,
     rt_config: RtConfig,
 ) -> Result<RunningTopology> {
-    submit_inner(topology, config, rt_config, None, None)
+    submit_inner(topology, config, rt_config, None, None, Vec::new())
 }
 
 /// Control hook invoked on every metrics snapshot of the threaded runtime.
@@ -671,7 +703,14 @@ pub fn submit_with_hook(
     config: EngineConfig,
     hook: Option<MetricsHook>,
 ) -> Result<RunningTopology> {
-    submit_inner(topology, config, RtConfig::default(), None, hook)
+    submit_inner(
+        topology,
+        config,
+        RtConfig::default(),
+        None,
+        hook,
+        Vec::new(),
+    )
 }
 
 /// Starts `topology` on OS threads with full control over runtime tuning and
@@ -682,7 +721,7 @@ pub fn submit_full(
     rt_config: RtConfig,
     hook: Option<MetricsHook>,
 ) -> Result<RunningTopology> {
-    submit_inner(topology, config, rt_config, None, hook)
+    submit_inner(topology, config, rt_config, None, hook, Vec::new())
 }
 
 /// [`submit_full`] with a scheduled fault plan injected into the run.
@@ -693,7 +732,19 @@ pub fn submit_faulty(
     plan: RtFaultPlan,
     hook: Option<MetricsHook>,
 ) -> Result<RunningTopology> {
-    submit_inner(topology, config, rt_config, Some(plan), hook)
+    submit_inner(topology, config, rt_config, Some(plan), hook, Vec::new())
+}
+
+/// [`submit_with`] with some bolt tasks executing elsewhere: batches for
+/// task `t` go to `remote[t]` when that is set (see
+/// [`remote`](self::remote)).  The distributed runtime's entry point.
+pub(crate) fn submit_remote(
+    topology: Topology,
+    config: EngineConfig,
+    rt_config: RtConfig,
+    remote: Vec<Option<RemoteSink>>,
+) -> Result<RunningTopology> {
+    submit_inner(topology, config, rt_config, None, None, remote)
 }
 
 /// Bridges the runtime's internal atomics into the live metrics
@@ -866,12 +917,14 @@ fn submit_inner(
     rt_config: RtConfig,
     plan: Option<RtFaultPlan>,
     mut hook: Option<MetricsHook>,
+    mut remote: Vec<Option<RemoteSink>>,
 ) -> Result<RunningTopology> {
     config.validate()?;
     rt_config.validate()?;
     checkpoint::set_json_snapshot_fallback(rt_config.json_snapshots);
     let placement: Placement = even_placement(&topology, &config)?;
     let n_tasks = topology.task_count();
+    remote.resize(n_tasks, None);
     let journal = Arc::new(Journal::new());
     if rt_config.checkpoints {
         journal.append(JournalEvent::RecoveryMode {
@@ -915,6 +968,7 @@ fn submit_inner(
     let shared = Arc::new(Shared {
         ackers: ShardedAcker::new(rt_config.acker_shards),
         stop: AtomicBool::new(false),
+        draining: AtomicBool::new(false),
         task_stats: (0..n_tasks).map(|_| TaskAtomics::default()).collect(),
         pending: (0..n_tasks).map(|_| AtomicUsize::new(0)).collect(),
         acked_total: AtomicU64::new(0),
@@ -981,15 +1035,24 @@ fn submit_inner(
         }
     }
 
-    // Channels: batched tuple input per task, batched ack feedback per spout
+    // Outlets: a batched input channel per local task (a remote task's
+    // batches go straight to its sink), batched ack feedback per spout
     // task.  Bounded capacity counts batches.  The receivers stay clonable
     // so the supervisor can re-wire a restarted task to its existing queue.
-    let mut senders = Vec::with_capacity(n_tasks);
-    let mut receivers: Vec<Receiver<Batch>> = Vec::with_capacity(n_tasks);
-    for _ in 0..n_tasks {
-        let (tx, rx) = bounded::<Batch>(config.queue_capacity);
-        senders.push(tx);
-        receivers.push(rx);
+    let mut outlets = Vec::with_capacity(n_tasks);
+    let mut receivers: Vec<Option<Receiver<Batch>>> = Vec::with_capacity(n_tasks);
+    for sink in remote {
+        match sink {
+            Some(sink) => {
+                outlets.push(Outlet::Remote(sink));
+                receivers.push(None);
+            }
+            None => {
+                let (tx, rx) = bounded::<Batch>(config.queue_capacity);
+                outlets.push(Outlet::Channel(tx));
+                receivers.push(Some(rx));
+            }
+        }
     }
     let mut ack_senders: Vec<Option<Sender<Vec<AckMsg>>>> = vec![None; n_tasks];
     let mut ack_receivers: Vec<Option<Receiver<Vec<AckMsg>>>> =
@@ -1024,18 +1087,18 @@ fn submit_inner(
         for component in topology.components() {
             for (task_index, task) in component.tasks().enumerate() {
                 let tid = task.0;
+                if matches!(outlets[tid], Outlet::Remote(_)) {
+                    // Executes elsewhere: no thread in this process.
+                    continue;
+                }
                 let spec = TaskSpec {
                     topology: topology.clone(),
                     component_id: component.id,
                     task_index,
                     tid,
-                    input: if component.is_spout() {
-                        None
-                    } else {
-                        Some(receivers[tid].clone())
-                    },
+                    input: receivers[tid].clone(),
                     ack_input: ack_receivers[tid].clone(),
-                    senders: senders.clone(),
+                    outlets: outlets.clone(),
                     ack_senders: ack_senders.clone(),
                     cfg: config.clone(),
                     rt_cfg: rt_config.clone(),
@@ -1062,6 +1125,14 @@ fn submit_inner(
         }))
     } else {
         None
+    };
+
+    let remote = RemoteCtx {
+        shared: Arc::clone(&shared),
+        topology: Arc::clone(&topology),
+        outlets,
+        ack_senders: Arc::clone(&ack_senders),
+        rt_cfg: rt_config.clone(),
     };
 
     // Metrics/timeout thread.
@@ -1301,6 +1372,7 @@ fn submit_inner(
         config,
         registry,
         metrics_server,
+        remote,
     })
 }
 

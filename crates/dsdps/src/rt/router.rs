@@ -4,8 +4,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::Sender;
-
 use crate::acker::RootId;
 use crate::component::{Emission, MessageId};
 use crate::grouping::{make_grouping, Grouping, GroupingSpec};
@@ -13,7 +11,7 @@ use crate::stream::StreamId;
 use crate::topology::{Component, Topology};
 use crate::tuple::Fields;
 
-use super::batch::{AckOp, AckOps, Batch, Delivered, OutputBuffers};
+use super::batch::{AckOp, AckOps, Delivered, Outlet, OutputBuffers};
 use super::config::RtConfig;
 use super::Shared;
 
@@ -45,15 +43,18 @@ pub(super) struct Router {
 
 impl Router {
     /// Builds the router for global task `tid` of `component` (whose local
-    /// index is `task_index`).
+    /// index is `task_index`).  `gated` routers pass the credit gate; see
+    /// [`OutputBuffers`].
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         topology: &Topology,
         component: &Component,
         task_index: usize,
         tid: usize,
-        senders: Vec<Sender<Batch>>,
+        outlets: Vec<Outlet>,
         shared: Arc<Shared>,
         rt_cfg: &RtConfig,
+        gated: bool,
     ) -> Self {
         let mut routes = Vec::new();
         for decl in &component.outputs {
@@ -79,7 +80,7 @@ impl Router {
                 });
             }
         }
-        let out = OutputBuffers::new(rt_cfg.batch_size, rt_cfg.linger, senders, tid);
+        let out = OutputBuffers::new(rt_cfg.batch_size, rt_cfg.linger, outlets, tid, gated);
         let trace_on = shared.tracer.enabled();
         Self {
             routes,

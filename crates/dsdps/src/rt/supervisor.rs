@@ -38,7 +38,7 @@ use crate::config::EngineConfig;
 use crate::telemetry::JournalEvent;
 use crate::topology::{ComponentId, ComponentKind, Topology};
 
-use super::batch::{AckMsg, Batch};
+use super::batch::{AckMsg, Batch, Outlet};
 use super::config::RtConfig;
 use super::router::Router;
 use super::task;
@@ -54,7 +54,7 @@ pub(super) struct TaskSpec {
     pub(super) input: Option<Receiver<Batch>>,
     /// Ack-feedback receiver (spouts).
     pub(super) ack_input: Option<Receiver<Vec<AckMsg>>>,
-    pub(super) senders: Vec<Sender<Batch>>,
+    pub(super) outlets: Vec<Outlet>,
     pub(super) ack_senders: Arc<Vec<Option<Sender<Vec<AckMsg>>>>>,
     pub(super) cfg: EngineConfig,
     pub(super) rt_cfg: RtConfig,
@@ -65,6 +65,7 @@ impl TaskSpec {
     /// The caller must have already published `generation` and `alive` in
     /// the task's atomics.
     pub(super) fn spawn(&self, shared: &Arc<Shared>, generation: u64) -> JoinHandle<()> {
+        let tid = self.tid;
         let component = self
             .topology
             .components()
@@ -81,14 +82,14 @@ impl TaskSpec {
             &component,
             self.task_index,
             self.tid,
-            self.senders.clone(),
+            self.outlets.clone(),
             shared.clone(),
             &self.rt_cfg,
+            true,
         );
         let shared = shared.clone();
         let ack_senders = self.ack_senders.clone();
         let cfg = self.cfg.clone();
-        let tid = self.tid;
         match &component.kind {
             ComponentKind::Spout(factory) => {
                 let spout = factory();

@@ -600,6 +600,9 @@ pub(super) fn run_spout(
         if !inject_control_faults(&shared, tid, my_gen) {
             return;
         }
+        // A draining runtime emits no fresh tuples; the spout finishes the
+        // trees it already tracked, exactly as if its input had ended.
+        exhausted |= shared.draining.load(Ordering::Relaxed);
         // Deliver ack/fail feedback first.
         while let Ok(batch) = ack_rx.try_recv() {
             spout_handle_feedback(&mut spout, &shared, tid, batch);
@@ -829,6 +832,7 @@ pub(super) fn run_bolt(
             Ok(Batch {
                 items: batch,
                 sent_at_us: batch_sent_us,
+                credited,
             }) => {
                 let s = &shared.task_stats[tid];
                 s.queue_len.store(rx.len(), Ordering::Relaxed);
@@ -961,7 +965,7 @@ pub(super) fn run_bolt(
                 }
                 // Batch processed: hand its credit back so the producer-side
                 // window keeps sliding.
-                if let Some(credits) = shared.credits.as_ref() {
+                if let Some(credits) = shared.credits.as_ref().filter(|_| credited) {
                     credits.grant(tid, 1);
                 }
                 let busy = if faults_on {

@@ -153,10 +153,59 @@ fn build_stateful(args: &str) -> Result<Topology> {
     b.build()
 }
 
+/// Emits `n` tracked tuples, each carrying one `bytes`-long string.
+struct WideSpout {
+    left: u64,
+    next_id: u64,
+    payload: std::sync::Arc<str>,
+}
+
+impl Spout for WideSpout {
+    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
+        if self.left == 0 {
+            return false;
+        }
+        self.left -= 1;
+        self.next_id += 1;
+        out.emit_with_id(
+            Tuple::of([Value::from(std::sync::Arc::clone(&self.payload))]),
+            self.next_id,
+        );
+        true
+    }
+}
+
+/// Forwards its input, anchored.
+struct Relay;
+
+impl Bolt for Relay {
+    fn execute(&mut self, tuple: &Tuple, out: &mut BoltOutput) {
+        out.emit(tuple.clone());
+    }
+}
+
+/// `args` is `"n:bytes"`: `src → fan(2) → sink(2)`, shuffle groupings.
+fn build_wide(args: &str) -> Result<Topology> {
+    let mut it = args.split(':');
+    let n: u64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(2_000);
+    let bytes: usize = it.next().and_then(|s| s.parse().ok()).unwrap_or(4_096);
+    let payload: std::sync::Arc<str> = "x".repeat(bytes).into();
+    let mut b = TopologyBuilder::new("dist-wide");
+    b.set_spout("src", 1, move || WideSpout {
+        left: n,
+        next_id: 0,
+        payload: std::sync::Arc::clone(&payload),
+    })?;
+    b.set_bolt("fan", 2, || Relay)?.shuffle_grouping("src")?;
+    b.set_bolt("sink", 2, || Sink)?.shuffle_grouping("fan")?;
+    b.build()
+}
+
 fn registry() -> TopologyRegistry {
     let mut r = TopologyRegistry::new();
     r.register("calib", build_calib);
     r.register("stateful", build_stateful);
+    r.register("wide", build_wide);
     r
 }
 
@@ -241,6 +290,49 @@ fn dist_calibration_matches_threaded_runtime() {
     assert!(threaded.conservation_holds());
     assert!(dist_report.conservation_holds(), "{dist_report:?}");
     assert!(dist_report.drained_clean);
+}
+
+/// Wide tuples in both directions must not wedge the sockets: with 4 KB
+/// payloads the in-flight bytes toward each worker, and the emissions each
+/// worker sends back, far exceed the kernel socket buffers.  Every message
+/// is acked within 30 s, and the fleet handle stays responsive
+/// (`worker_pids`) while tuples are in flight.  The run lives on its own
+/// thread so a wedged runtime fails the assertion below instead of hanging
+/// the suite.
+#[test]
+fn dist_wide_tuples_do_not_deadlock_the_sockets() {
+    let n = 2_000u64;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let running = dist::submit(
+            &registry(),
+            "wide",
+            &format!("{n}:4096"),
+            EngineConfig::default(),
+            RtConfig::default().with_batch_size(64),
+            DistConfig::new(2, self_worker_cmd()),
+        )
+        .unwrap();
+        let mut pid_calls = 0u32;
+        let acked_all = wait_until(Duration::from_secs(30), || {
+            pid_calls += 1;
+            assert_eq!(running.worker_pids().len(), 2);
+            running.acked() == n
+        });
+        let acked = running.acked();
+        let report = running.shutdown();
+        let _ = tx.send((acked_all, acked, pid_calls, report));
+    });
+    let (acked_all, acked, pid_calls, report) = rx
+        .recv_timeout(Duration::from_secs(45))
+        .expect("the run wedged: no report within 45 s");
+    assert!(acked_all, "acked {acked}/{n} within 30 s");
+    assert!(
+        pid_calls > 1,
+        "worker_pids polled while tuples were in flight"
+    );
+    assert_eq!(report.acked, n, "{report:?}");
+    assert!(report.conservation_holds(), "{report:?}");
 }
 
 /// Conservation and credit invariants hold across the process boundary,
@@ -339,6 +431,50 @@ fn dist_killed_worker_restores_from_checkpoint() {
     assert_eq!(sum, n * (n + 1) / 2);
 }
 
+/// A worker killed with its restart budget spent stays down: every tuple
+/// routed to its task fails into replay until the replay budget is spent,
+/// and the run still drains and accounts for every message.
+#[test]
+fn dist_slot_past_its_restart_budget_fails_its_tuples() {
+    let n = 600u64;
+    let engine = EngineConfig {
+        message_timeout_s: 2.0,
+        ..EngineConfig::default()
+    };
+    let rt_config = RtConfig::default()
+        .with_batch_size(8)
+        .with_max_replays(2)
+        .with_replay_backoff(Duration::from_millis(10));
+    let running = dist::submit(
+        &registry(),
+        "stateful",
+        &format!("{n}:1500"),
+        engine,
+        rt_config,
+        DistConfig::new(2, self_worker_cmd()).with_max_worker_restarts(0),
+    )
+    .unwrap();
+    assert!(
+        wait_until(Duration::from_secs(20), || running.acked() >= n / 4),
+        "stream never got going: acked {}",
+        running.acked()
+    );
+    // Slot 0 hosts the topology's only bolt task.
+    running.kill_worker(0).expect("kill worker 0");
+    assert!(
+        wait_until(Duration::from_secs(20), || running.spout_emitted() == n),
+        "spout stalled at {}",
+        running.spout_emitted()
+    );
+    let report = running.shutdown();
+
+    assert!(report.drained_clean, "{report:?}");
+    assert_eq!(report.worker_restarts, 0, "{report:?}");
+    assert!(report.permanently_failed > 0, "{report:?}");
+    assert_eq!(report.acked + report.permanently_failed, n, "{report:?}");
+    assert!(report.conservation_holds(), "{report:?}");
+}
+
 /// Scrapes the coordinator's Prometheus endpoint, returning the response
 /// body text.
 fn scrape_metrics(addr: std::net::SocketAddr) -> String {
@@ -414,8 +550,8 @@ fn dist_observability_spans_metrics_and_journal_agree() {
     );
     let scrape = scrape_metrics(addr);
     for family in [
-        "dsdps_coord_tracked_total",
-        "dsdps_coord_acked_total",
+        "dsdps_tracked_total",
+        "dsdps_acked_total",
         "dsdps_coord_worker_restarts_total",
         "dsdps_dist_outstanding_window",
         "dsdps_dist_conn_frames_in_total",

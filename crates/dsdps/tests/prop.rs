@@ -803,7 +803,6 @@ fn any_frame() -> BoxedStrategy<Frame> {
             ),
         prop::collection::vec(wire_tuple(), 0..6).prop_map(|items| Frame::TupleBatch { items }),
         prop::collection::vec(wire_result(), 0..4).prop_map(|items| Frame::ResultBatch { items }),
-        (0u32..64, any::<u64>()).prop_map(|(task, amount)| Frame::CreditGrant { task, amount }),
         (
             0u32..64,
             prop::collection::vec(any::<u8>(), 0..64),
