@@ -26,16 +26,19 @@
 //! `DSDPS_DIST_ADDR` set turns into a worker instead of re-running the
 //! suite ([`dsdps::dist::self_worker_cmd`]).
 
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput, TopologyContext};
 use dsdps::config::EngineConfig;
 use dsdps::dist::{self, codec, DistConfig, TopologyRegistry};
 use dsdps::error::Result;
-use dsdps::rt::{RecoveryMode, RtConfig, SnapshotKind, StateSnapshot, StatefulComponent};
+use dsdps::rt::{RecoveryMode, RtConfig};
 use dsdps::topology::{Topology, TopologyBuilder};
-use dsdps::tuple::{Tuple, Value};
+use dsdps::tuple::Value;
+use serde::{JsonValue, Serialize};
+
+use crate::fixtures::{ms_until_first, wait_until, BenchSpout, Blackhole, Relay, StatefulCounter};
+use crate::micro::time_ns;
+use crate::report::{self, doc, fixed, obj};
 
 /// Codec round-trip measurements at one batch size.
 pub struct CodecPoint {
@@ -80,6 +83,7 @@ pub struct DistRecovery {
 }
 
 /// Collected measurements of one `dist_scaling` bench run.
+#[derive(Default)]
 pub struct DistResults {
     /// `"smoke"` or `"full"`.
     pub mode: &'static str,
@@ -92,69 +96,35 @@ pub struct DistResults {
 }
 
 impl DistResults {
-    /// The batch-64 codec point's speedup — the gated number.
-    pub fn codec_speedup_b64(&self) -> Option<f64> {
-        self.codec
-            .iter()
-            .find(|p| p.batch == 64)
-            .map(CodecPoint::speedup)
-    }
-
-    /// Serializes the results as a stable, machine-readable JSON document
-    /// (`bench_dist/v1`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema\": \"bench_dist/v1\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str("  \"codec\": {\n");
-        for (i, p) in self.codec.iter().enumerate() {
-            let sep = if i + 1 == self.codec.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    \"b{}\": {{\n      \"binary_ns_per_frame\": {:.1},\n      \
-                 \"json_ns_per_frame\": {:.1},\n      \"binary_bytes\": {},\n      \
-                 \"json_bytes\": {},\n      \"speedup\": {:.2}\n    }}{sep}\n",
-                p.batch,
-                p.binary_ns,
-                p.json_ns,
-                p.binary_bytes,
-                p.json_bytes,
-                p.speedup(),
-            ));
-        }
-        s.push_str("  },\n  \"acked_tuples_per_s\": {\n");
-        for (i, (workers, batch, tput)) in self.scaling.iter().enumerate() {
-            let sep = if i + 1 == self.scaling.len() { "" } else { "," };
-            s.push_str(&format!("    \"w{workers}_b{batch}\": {tput:.1}{sep}\n"));
-        }
-        s.push_str("  }");
+    /// The `BENCH_dist.json` document (`bench_dist/v1`).
+    pub fn doc(&self) -> JsonValue {
+        let codec = self.codec.iter().map(|p| {
+            let point = obj([
+                ("binary_ns_per_frame", fixed(p.binary_ns, 1)),
+                ("json_ns_per_frame", fixed(p.json_ns, 1)),
+                ("binary_bytes", p.binary_bytes.serialize_value()),
+                ("json_bytes", p.json_bytes.serialize_value()),
+                ("speedup", fixed(p.speedup(), 2)),
+            ]);
+            (format!("b{}", p.batch), point)
+        });
+        let points = report::scaling(&self.scaling);
+        let mut entries = vec![("codec", obj(codec)), ("acked_tuples_per_s", points)];
         if let Some(r) = &self.recovery {
-            s.push_str(&format!(
-                ",\n  \"recovery\": {{\n    \"workers\": {},\n    \
-                 \"kill_to_restore_ms\": {:.2},\n    \"worker_restarts\": {},\n    \
-                 \"restores\": {},\n    \"acked\": {},\n    \"expected\": {},\n    \
-                 \"conservation\": {}\n  }}",
-                r.workers,
-                r.kill_to_restore_ms,
-                r.worker_restarts,
-                r.restores,
-                r.acked,
-                r.expected,
-                r.conservation,
+            entries.push((
+                "recovery",
+                obj([
+                    ("workers", r.workers.serialize_value()),
+                    ("kill_to_restore_ms", fixed(r.kill_to_restore_ms, 2)),
+                    ("worker_restarts", r.worker_restarts.serialize_value()),
+                    ("restores", r.restores.serialize_value()),
+                    ("acked", r.acked.serialize_value()),
+                    ("expected", r.expected.serialize_value()),
+                    ("conservation", r.conservation.serialize_value()),
+                ]),
             ));
         }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// Writes [`to_json`](Self::to_json) to `BENCH_dist.json` at the
-    /// repository root and returns the path.
-    pub fn write_json_at_repo_root(&self) -> std::io::Result<PathBuf> {
-        let path = PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_dist.json"
-        ));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+        doc("bench_dist/v1", self.mode, entries)
     }
 }
 
@@ -185,29 +155,6 @@ fn sample_batch(n: usize) -> Vec<codec::WireTuple> {
         .collect()
 }
 
-/// Times `f` adaptively against `target` and returns ns/iter (same harness
-/// as the kernel microbenches, standalone so it can fill [`CodecPoint`]s).
-fn bench_ns<R>(target: Duration, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f());
-    let mut iters: u64 = 1;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let elapsed = t0.elapsed();
-        if elapsed >= target || iters >= 1 << 30 {
-            return elapsed.as_nanos() as f64 / iters as f64;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 8
-        } else {
-            let scale = target.as_secs_f64() / elapsed.as_secs_f64() * 1.2;
-            (iters as f64 * scale).ceil() as u64
-        };
-    }
-}
-
 /// Round-trips one `TupleBatch` frame through both codecs at `batch`
 /// tuples and returns the comparison point.
 fn codec_point(batch: usize, target: Duration) -> CodecPoint {
@@ -226,12 +173,12 @@ fn codec_point(batch: usize, target: Duration) -> CodecPoint {
     // transport's batching writer; the JSON reference allocates a fresh
     // string per frame, exactly like a serde-based shim would.
     let mut buf = Vec::with_capacity(binary_bytes);
-    let binary_ns = bench_ns(target, || {
+    let (binary_ns, _) = time_ns(target, || {
         buf.clear();
         codec::encode_frame_body(&frame, &mut buf);
         codec::decode_frame(&buf).expect("binary round trip")
     });
-    let json_ns = bench_ns(target, || {
+    let (json_ns, _) = time_ns(target, || {
         let text = codec::json::tuple_batch_to_string(&items);
         codec::json::tuple_batch_from_str(&text).expect("json round trip")
     });
@@ -264,109 +211,11 @@ fn bench_codec(res: &mut DistResults, target: Duration) {
 
 // --- shared topologies (coordinator and re-exec'd workers) --------------
 
-/// Backpressure-bounded infinite spout: emits tracked tuples as fast as
-/// `max_spout_pending` allows until the coordinator raises its stop flag.
-struct FloodSpout {
-    next_id: u64,
-}
-
-impl Spout for FloodSpout {
-    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
-        for _ in 0..32 {
-            self.next_id += 1;
-            out.emit_with_id(Tuple::of([Value::from(self.next_id as i64)]), self.next_id);
-        }
-        true
-    }
-}
-
-/// Finite spout paced at `rate` tuples/s, so the stream is still flowing
-/// when the bench kills a worker mid-run.
-struct PacedSpout {
-    left: u64,
-    next_id: u64,
-    rate: f64,
-    started: Option<Instant>,
-}
-
-impl Spout for PacedSpout {
-    fn open(&mut self, _ctx: &TopologyContext) {
-        self.started = Some(Instant::now());
-    }
-
-    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
-        if self.left == 0 {
-            return false;
-        }
-        let elapsed = self
-            .started
-            .map(|s| s.elapsed().as_secs_f64())
-            .unwrap_or(0.0);
-        if self.next_id as f64 >= elapsed * self.rate {
-            return true;
-        }
-        self.left -= 1;
-        self.next_id += 1;
-        out.emit_with_id(Tuple::of([Value::from(self.next_id as i64)]), self.next_id);
-        true
-    }
-}
-
-/// Middle stage: re-emits each tuple anchored.
-struct Relay;
-impl Bolt for Relay {
-    fn execute(&mut self, t: &Tuple, out: &mut BoltOutput) {
-        out.emit(t.clone());
-    }
-}
-
-struct Blackhole;
-impl Bolt for Blackhole {
-    fn execute(&mut self, _t: &Tuple, _o: &mut BoltOutput) {}
-}
-
-/// Checkpointable counting bolt for the recovery point.
-struct StatefulCounter {
-    count: u64,
-    sum: u64,
-}
-
-impl Bolt for StatefulCounter {
-    fn execute(&mut self, t: &Tuple, _o: &mut BoltOutput) {
-        self.count += 1;
-        self.sum += t.get(0).and_then(|v| v.as_i64()).unwrap_or(0) as u64;
-    }
-
-    fn stateful(&mut self) -> Option<&mut dyn StatefulComponent> {
-        Some(self)
-    }
-}
-
-impl StatefulComponent for StatefulCounter {
-    fn snapshot(&mut self) -> StateSnapshot {
-        StateSnapshot::encode(SnapshotKind::Full, &(self.count, self.sum))
-    }
-
-    fn restore(
-        &mut self,
-        base: &StateSnapshot,
-        deltas: &[StateSnapshot],
-    ) -> std::result::Result<(), String> {
-        if !deltas.is_empty() {
-            return Err("bench counter snapshots are full-only".into());
-        }
-        let (count, sum): (u64, u64) = base.decode()?;
-        self.count = count;
-        self.sum = sum;
-        Ok(())
-    }
-}
-
 /// `spout → relay ×W → sink ×W` shuffle pipeline; `args` carries `W`.
 fn build_relay(args: &str) -> Result<Topology> {
     let workers: usize = args.parse().unwrap_or(1);
     let mut b = TopologyBuilder::new("dist-scaling-bench");
-    b.set_spout("src", 1, || FloodSpout { next_id: 0 })?;
+    b.set_spout("src", 1, || BenchSpout::flood(32))?;
     b.set_bolt("relay", workers, || Relay)?
         .shuffle_grouping("src")?;
     b.set_bolt("sink", workers, || Blackhole)?
@@ -380,13 +229,10 @@ fn build_state(args: &str) -> Result<Topology> {
     let n: u64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(400);
     let rate: f64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(1_000.0);
     let mut b = TopologyBuilder::new("dist-recovery-bench");
-    b.set_spout("src", 1, move || PacedSpout {
-        left: n,
-        next_id: 0,
-        rate,
-        started: None,
-    })?;
-    b.set_bolt("count", 1, || StatefulCounter { count: 0, sum: 0 })?
+    // One tuple per call at most, so the stream is still flowing when the
+    // bench kills a worker mid-run.
+    b.set_spout("src", 1, move || BenchSpout::paced(rate, 1).bounded(n))?;
+    b.set_bolt("count", 1, StatefulCounter::default)?
         .global_grouping("src")?;
     b.build()
 }
@@ -409,8 +255,9 @@ pub fn maybe_worker() -> bool {
 // --- dist_scaling sweep -------------------------------------------------
 
 /// Runs the relay pipeline on `workers` worker processes for `run_s`
-/// seconds and returns acked tuple trees per second.
-fn dist_throughput(workers: usize, batch_size: usize, run_s: f64) -> f64 {
+/// seconds and returns acked tuple trees per second: the sweep's points,
+/// `--dist-point` samples and the dist telemetry-overhead gate's samples.
+pub fn dist_throughput(workers: usize, batch_size: usize, run_s: f64) -> f64 {
     let cfg = EngineConfig {
         max_spout_pending: 16 * 1024,
         ..EngineConfig::default()
@@ -443,10 +290,7 @@ fn bench_dist_scaling(res: &mut DistResults, run_s: f64) {
         for &batch in &[1usize, 64] {
             let tput = dist_throughput(workers, batch, run_s);
             res.scaling.push((workers, batch, tput));
-            println!(
-                "  workers {workers}  batch {batch:>3}: {:>12.0} acked tuples/s",
-                tput
-            );
+            println!("  workers {workers}  batch {batch:>3}: {tput:>12.0} acked tuples/s");
         }
     }
 }
@@ -475,30 +319,17 @@ fn bench_dist_recovery(res: &mut DistResults, n: u64, rate: f64) {
     )
     .expect("dist submit");
 
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while running.acked() < n / 4 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let poll = Duration::from_millis(5);
+    wait_until(Duration::from_secs(20), poll, || running.acked() >= n / 4);
     let kill_t = running.uptime_s();
     running.kill_worker(0).expect("kill worker 0");
 
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while running.acked() < n && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until(Duration::from_secs(30), poll, || running.acked() >= n);
     let report = running.shutdown();
 
     // Kill → restore wall clock on the journal's clock (seconds since
     // submit): the first `state_restored` event after the kill.
-    let kill_to_restore_ms = report
-        .journal_of_kind("state_restored")
-        .iter()
-        .map(|e| e.time_s())
-        .filter(|t| *t >= kill_t)
-        .fold(f64::NAN, f64::min)
-        .max(kill_t)
-        * 1_000.0
-        - kill_t * 1_000.0;
+    let kill_to_restore_ms = ms_until_first(&report.journal_of_kind("state_restored"), kill_t);
 
     let r = DistRecovery {
         workers: 2,
@@ -523,156 +354,17 @@ fn bench_dist_recovery(res: &mut DistResults, n: u64, rate: f64) {
 pub fn run(smoke: bool) -> DistResults {
     let mut res = DistResults {
         mode: if smoke { "smoke" } else { "full" },
-        codec: Vec::new(),
-        scaling: Vec::new(),
-        recovery: None,
+        ..DistResults::default()
     };
-    bench_codec(
-        &mut res,
-        if smoke {
-            Duration::from_millis(5)
-        } else {
-            Duration::from_millis(300)
-        },
-    );
+    bench_codec(&mut res, Duration::from_millis(if smoke { 5 } else { 300 }));
     bench_dist_scaling(&mut res, if smoke { 0.4 } else { 2.0 });
-    if smoke {
-        bench_dist_recovery(&mut res, 400, 1_600.0);
+    let (n, rate) = if smoke {
+        (400, 1_600.0)
     } else {
-        bench_dist_recovery(&mut res, 2_000, 5_000.0);
-    }
-    res
-}
-
-// --- telemetry overhead (dist) ------------------------------------------
-
-/// Runs the relay pipeline once at `workers` × `batch` and returns acked
-/// tuples/s: the sample behind `--dist-point` and the distributed
-/// telemetry-overhead gate.
-pub fn run_point(workers: usize, batch: usize, secs: f64) -> f64 {
-    dist_throughput(workers, batch, secs)
-}
-
-/// Runs the `strip-telemetry` reference binary for one dist `w1_b64` sample
-/// via its `--dist-point` mode and parses the machine-readable result,
-/// verifying the binary really was built without hot-path telemetry.  The
-/// stripped binary spawns its worker fleet by re-exec'ing *itself*, so the
-/// whole pipeline — coordinator and workers — runs stripped.
-fn stripped_dist_point(bin: &str, secs: f64) -> std::result::Result<f64, String> {
-    let out = std::process::Command::new(bin)
-        .args(["--dist-point", "1", "64"])
-        .arg(format!("{secs}"))
-        .arg("1")
-        .output()
-        .map_err(|e| format!("cannot run stripped reference {bin}: {e}"))?;
-    let text = String::from_utf8_lossy(&out.stdout);
-    if text.contains("telemetry_compiled: true") {
-        return Err(format!(
-            "{bin} was built WITH telemetry compiled in; rebuild it with --features strip-telemetry"
-        ));
-    }
-    text.lines()
-        .find_map(|l| l.strip_prefix("dist_point_sample: ")?.trim().parse().ok())
-        .ok_or_else(|| format!("no dist_point_sample line in output of {bin}:\n{text}"))
-}
-
-/// Extracts the body (`{...}`) of the `"dist"` section of a
-/// `BENCH_telemetry.json` document, if present.  The dist section is
-/// always the final key, so a rewrite of the rt half can carry it over.
-pub(crate) fn dist_section_body(doc: &str) -> Option<String> {
-    let i = doc.find("\"dist\":")?;
-    let rest = doc[i + "\"dist\":".len()..].trim_end();
-    Some(rest.strip_suffix('}')?.trim().to_string())
-}
-
-/// Splices a `"dist"` section into a `BENCH_telemetry.json` document,
-/// replacing any previous one.  The section always goes last, so the
-/// splice point is either the old section's start or the final brace.
-pub(crate) fn merge_dist_section(existing: &str, dist: &str) -> String {
-    let base = match existing.find(",\n  \"dist\":") {
-        Some(i) => existing[..i].to_string(),
-        None => {
-            let t = existing.trim_end();
-            match t.strip_suffix('}') {
-                Some(body) if t.starts_with('{') && body.trim_end().len() > 1 => {
-                    body.trim_end().to_string()
-                }
-                _ => "{\n  \"schema\": \"bench_telemetry/v1\"".to_string(),
-            }
-        }
+        (2_000, 5_000.0)
     };
-    format!("{base},\n  \"dist\": {dist}\n}}\n")
-}
-
-/// CI telemetry-overhead gate for the distributed backend: with telemetry
-/// compiled in but *disabled* (the default [`RtConfig`] — sample rate 0,
-/// no metrics address, no metrics interval), dist `w1_b64` throughput must
-/// stay within 3% of a `strip-telemetry` build's.  Same interleaved
-/// min-pair discipline as the threaded gate in [`crate::micro`] and for
-/// the same reason: the machine's ceiling drifts between separate runs,
-/// so only an *every-pair* loss separates a real hot-path cost from
-/// noise.  Merges a `dist` section into `BENCH_telemetry.json` at the
-/// repository root regardless of the verdict, preserving the rt half.
-pub fn check_dist_telemetry_overhead(
-    smoke: bool,
-    stripped_bin: &str,
-) -> std::result::Result<(), String> {
-    const TOLERANCE: f64 = 0.03;
-    if !dsdps::telemetry::HOT_PATH_TELEMETRY {
-        return Err(
-            "--check-dist-telemetry-overhead must run on a build WITHOUT strip-telemetry \
-             (this build has the feature enabled, so there is nothing to measure)"
-                .to_string(),
-        );
-    }
-    let (reps, secs) = if smoke { (6, 0.6) } else { (5, 2.0) };
-    println!("\ndist telemetry overhead gate: {reps} interleaved w1_b64 pairs, {secs}s each");
-    let (mut stripped, mut fresh) = (0.0f64, 0.0f64);
-    let mut min_pair_overhead = f64::INFINITY;
-    for r in 0..reps {
-        let s = stripped_dist_point(stripped_bin, secs)?;
-        let f = dist_throughput(1, 64, secs);
-        let pair_overhead = (1.0 - f / s) * 100.0;
-        println!(
-            "  pair {r}: stripped {s:>10.0}  instrumented-disabled {f:>10.0} acked tuples/s \
-             ({pair_overhead:+.1}%)"
-        );
-        stripped = stripped.max(s);
-        fresh = fresh.max(f);
-        min_pair_overhead = min_pair_overhead.min(pair_overhead);
-    }
-    let overhead_pct = (1.0 - fresh / stripped) * 100.0;
-    println!(
-        "dist telemetry overhead check: best w1_b64 instrumented-disabled {fresh:.0} vs \
-         stripped {stripped:.0} ({overhead_pct:+.1}% best-of, {min_pair_overhead:+.1}% min \
-         pair, tolerance {:.0}%)",
-        TOLERANCE * 100.0
-    );
-    let section = format!(
-        "{{\n    \"acked_tuples_per_s\": {{\n      \"w1_b64_stripped\": {stripped:.1},\n      \
-         \"w1_b64_instrumented_disabled\": {fresh:.1}\n    }},\n    \
-         \"overhead_pct\": {overhead_pct:.2},\n    \
-         \"min_pair_overhead_pct\": {min_pair_overhead:.2},\n    \"tolerance_pct\": {:.1}\n  }}",
-        TOLERANCE * 100.0
-    );
-    let path = PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_telemetry.json"
-    ));
-    let existing = std::fs::read_to_string(&path).unwrap_or_default();
-    match std::fs::write(&path, merge_dist_section(&existing, &section)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_telemetry.json: {e}"),
-    }
-    if min_pair_overhead > TOLERANCE * 100.0 {
-        return Err(format!(
-            "dist telemetry overhead regression: disabled-telemetry throughput lost to the \
-             stripped build by more than {:.0}% in every one of {reps} interleaved pairs \
-             (min pair overhead {min_pair_overhead:+.1}%)",
-            TOLERANCE * 100.0
-        ));
-    }
-    Ok(())
+    bench_dist_recovery(&mut res, n, rate);
+    res
 }
 
 // --- CI gate ------------------------------------------------------------
@@ -681,25 +373,6 @@ pub fn check_dist_telemetry_overhead(
 /// acceptance criterion, enforced unconditionally by the gate.
 pub const MIN_CODEC_SPEEDUP_B64: f64 = 5.0;
 
-/// Reads the `w2_b64` throughput out of a `bench_dist/v1` JSON document.
-fn dist_baseline_w2_b64(json: &str) -> Option<f64> {
-    use serde::JsonValue;
-    let root = serde_json::parse(json).ok()?;
-    let JsonValue::Object(fields) = root else {
-        return None;
-    };
-    let tputs = fields.iter().find(|(k, _)| k == "acked_tuples_per_s")?;
-    let JsonValue::Object(points) = &tputs.1 else {
-        return None;
-    };
-    match points.iter().find(|(k, _)| k == "w2_b64")?.1 {
-        JsonValue::F64(v) => Some(v),
-        JsonValue::I64(v) => Some(v as f64),
-        JsonValue::U64(v) => Some(v as f64),
-        _ => None,
-    }
-}
-
 /// CI regression gate for the distributed backend: the fresh `w2_b64`
 /// throughput must stay within 20% of the checked-in baseline, the binary
 /// codec must hold its ≥5× batch-64 speedup over the JSON reference, and
@@ -707,10 +380,11 @@ fn dist_baseline_w2_b64(json: &str) -> Option<f64> {
 /// conservation intact.
 pub fn check_dist_baseline(
     res: &DistResults,
-    baseline_path: &str,
+    baseline: &JsonValue,
 ) -> std::result::Result<(), String> {
-    let speedup = res
-        .codec_speedup_b64()
+    let speedup = (res.codec.iter())
+        .find(|p| p.batch == 64)
+        .map(CodecPoint::speedup)
         .ok_or("dist gate: the batch-64 codec point was not measured")?;
     println!(
         "\ndist codec gate: binary {speedup:.1}x over JSON at batch 64 \
@@ -733,27 +407,12 @@ pub fn check_dist_baseline(
             r.acked, r.expected, r.restores, r.conservation
         ));
     }
-    let json = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read dist baseline {baseline_path}: {e}"))?;
-    let baseline = dist_baseline_w2_b64(&json)
-        .ok_or_else(|| format!("no acked_tuples_per_s.w2_b64 in {baseline_path}"))?;
-    let fresh = res
-        .scaling
-        .iter()
-        .find(|(w, b, _)| *w == 2 && *b == 64)
-        .map(|(_, _, t)| *t)
-        .ok_or_else(|| "dist_scaling sweep did not produce a w2_b64 point".to_string())?;
-    println!(
-        "dist baseline check: w2_b64 fresh {fresh:.0} vs baseline {baseline:.0} ({:+.1}%)",
-        (fresh / baseline - 1.0) * 100.0
-    );
-    if fresh < baseline * 0.8 {
-        return Err(format!(
-            "dist throughput regression: w2_b64 {fresh:.0} tuples/s is more than 20% below \
-             the baseline {baseline:.0} tuples/s"
-        ));
-    }
-    Ok(())
+    report::throughput_floor(
+        "dist",
+        &res.doc(),
+        baseline,
+        &["acked_tuples_per_s", "w2_b64"],
+    )
 }
 
 #[cfg(test)]
@@ -797,101 +456,50 @@ mod tests {
         }
     }
 
-    fn baseline_json(w2_b64: f64) -> String {
-        format!(
+    fn baseline(w2_b64: f64) -> JsonValue {
+        serde_json::parse(&format!(
             "{{\n  \"schema\": \"bench_dist/v1\",\n  \"acked_tuples_per_s\": {{\n    \
              \"w2_b64\": {w2_b64:.1}\n  }}\n}}\n"
-        )
-    }
-
-    fn with_baseline(json: &str, f: impl FnOnce(&str)) {
-        let path = std::env::temp_dir().join(format!(
-            "dsdps-dist-baseline-{}.json",
-            std::process::id() as u64 ^ ((json.len() as u64) << 32)
-        ));
-        std::fs::write(&path, json).unwrap();
-        f(path.to_str().unwrap());
-        let _ = std::fs::remove_file(&path);
+        ))
+        .unwrap()
     }
 
     #[test]
     fn json_is_well_shaped() {
-        let json = results().to_json();
-        assert!(json.contains("\"schema\": \"bench_dist/v1\""));
-        assert!(json.contains("\"b64\""));
-        assert!(json.contains("\"speedup\": 20.00"));
-        assert!(json.contains("\"w2_b64\": 80000.0"));
-        assert!(json.contains("\"kill_to_restore_ms\": 120.00"));
-        assert_eq!(dist_baseline_w2_b64(&json), Some(80_000.0));
+        let doc = results().doc();
+        let at = |path: &[&str]| report::number(&doc, path);
+        assert_eq!(at(&["codec", "b64", "speedup"]), Some(20.0));
+        assert_eq!(at(&["acked_tuples_per_s", "w2_b64"]), Some(80_000.0));
+        assert_eq!(at(&["recovery", "kill_to_restore_ms"]), Some(120.0));
+        // Resolving the gate keys of `bench_dist/v1` also pins the schema.
+        report::tests::assert_round_trips(&doc);
     }
 
     #[test]
     fn gate_passes_on_healthy_results() {
-        with_baseline(&baseline_json(80_000.0), |path| {
-            check_dist_baseline(&results(), path).unwrap();
-        });
+        check_dist_baseline(&results(), &baseline(80_000.0)).unwrap();
     }
 
     #[test]
     fn gate_fails_on_throughput_regression() {
-        with_baseline(&baseline_json(120_000.0), |path| {
-            let err = check_dist_baseline(&results(), path).unwrap_err();
-            assert!(err.contains("regression"), "unexpected message: {err}");
-        });
+        let err = check_dist_baseline(&results(), &baseline(120_000.0)).unwrap_err();
+        assert!(err.contains("regression"), "unexpected message: {err}");
     }
 
     #[test]
     fn gate_fails_when_codec_speedup_collapses() {
         let mut res = results();
         res.codec[1].binary_ns = 15_000.0;
-        with_baseline(&baseline_json(80_000.0), |path| {
-            let err = check_dist_baseline(&res, path).unwrap_err();
-            assert!(err.contains("codec"), "unexpected message: {err}");
-        });
+        let err = check_dist_baseline(&res, &baseline(80_000.0)).unwrap_err();
+        assert!(err.contains("codec"), "unexpected message: {err}");
     }
 
     #[test]
     fn gate_fails_when_recovery_lost_messages() {
         let mut res = results();
         res.recovery.as_mut().unwrap().acked = 399;
-        with_baseline(&baseline_json(80_000.0), |path| {
-            let err = check_dist_baseline(&res, path).unwrap_err();
-            assert!(err.contains("recovery"), "unexpected message: {err}");
-        });
-    }
-
-    #[test]
-    fn dist_section_merges_into_rt_document() {
-        let rt_doc = "{\n  \"schema\": \"bench_telemetry/v1\",\n  \"overhead_pct\": 1.00\n}\n";
-        let merged = merge_dist_section(rt_doc, "{\n    \"overhead_pct\": 2.00\n  }");
-        assert!(merged.contains("\"schema\": \"bench_telemetry/v1\""));
-        assert!(merged.contains("\"dist\": {"));
-        assert!(
-            serde_json::parse(&merged).is_ok(),
-            "invalid JSON:\n{merged}"
-        );
-
-        // Re-merging replaces the old section instead of stacking a second.
-        let remerged = merge_dist_section(&merged, "{\n    \"overhead_pct\": 3.00\n  }");
-        assert_eq!(remerged.matches("\"dist\":").count(), 1);
-        assert!(remerged.contains("3.00") && !remerged.contains("2.00"));
-        assert!(
-            serde_json::parse(&remerged).is_ok(),
-            "invalid JSON:\n{remerged}"
-        );
-
-        // A missing or mangled document degrades to a fresh skeleton.
-        let fresh = merge_dist_section("", "{\n    \"overhead_pct\": 2.00\n  }");
-        assert!(fresh.contains("\"schema\": \"bench_telemetry/v1\""));
-        assert!(serde_json::parse(&fresh).is_ok(), "invalid JSON:\n{fresh}");
-    }
-
-    #[test]
-    fn dist_section_body_round_trips_through_merge() {
-        let body = "{\n    \"overhead_pct\": 2.00,\n    \"tolerance_pct\": 3.0\n  }";
-        let doc = merge_dist_section("{\n  \"schema\": \"bench_telemetry/v1\"\n}\n", body);
-        assert_eq!(dist_section_body(&doc).as_deref(), Some(body));
-        assert_eq!(dist_section_body("{\n  \"schema\": \"x\"\n}\n"), None);
+        let err = check_dist_baseline(&res, &baseline(80_000.0)).unwrap_err();
+        assert!(err.contains("recovery"), "unexpected message: {err}");
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //!   (spout offered rate four times the sink's service capacity) with and
 //!   without the adaptive spout throttle, feeding the CI backpressure gate
 //!
-//! Every measurement is recorded in a [`MicroResults`] and can be written
-//! as `BENCH_kernels.json` at the repository root, so CI and the results
-//! tables consume the same numbers that are printed.
+//! Every measurement is recorded in a [`MicroResults`] and written as
+//! `BENCH_kernels.json` and `BENCH_rt.json` at the repository root through
+//! [`crate::report`], so CI and the results tables consume the same numbers
+//! that are printed.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use drnn::layer::lstm::{LstmCache, LstmLayer};
 use drnn::matrix::Matrix;
 use dsdps::acker::Acker;
-use dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput};
+use dsdps::component::{Bolt, BoltOutput};
 use dsdps::config::EngineConfig;
 use dsdps::grouping::dynamic::{DynamicGrouping, DynamicGroupingHandle, SplitRatio};
 use dsdps::grouping::{AllGrouping, FieldsGrouping, GlobalGrouping, Grouping, ShuffleGrouping};
@@ -46,8 +46,17 @@ use forecast::forecaster::Forecaster;
 use forecast::svr::{Svr, SvrParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{JsonValue, Serialize};
+
+use crate::fixtures::{BenchSpout, Blackhole, Relay};
+use crate::report::{self, doc, fixed, fmt_num, obj, Gate};
+
+/// Key path of the single-worker batch-64 point in `BENCH_rt.json`, the
+/// throughput the rt baseline gate compares.
+const W1_B64: [&str; 2] = ["acked_tuples_per_s", "w1_b64"];
 
 /// Collected measurements of one microbench run.
+#[derive(Default)]
 pub struct MicroResults {
     /// `"smoke"` or `"full"`.
     pub mode: &'static str,
@@ -89,156 +98,77 @@ impl MicroResults {
     fn new(mode: &'static str) -> Self {
         MicroResults {
             mode,
-            host_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            oversubscribed: Vec::new(),
-            ns_per_iter: Vec::new(),
-            rt_acked_tuples_per_s: Vec::new(),
-            rt_scaling: Vec::new(),
-            rt_overload: None,
+            host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            ..MicroResults::default()
         }
     }
 
-    /// Times `f` adaptively: doubles the iteration count until the measured
-    /// run exceeds `target`, then records and prints ns/iter over the final
-    /// run.
-    fn bench<R, F: FnMut() -> R>(&mut self, name: &str, target: Duration, mut f: F) {
-        // Warm-up.
-        std::hint::black_box(f());
-        let mut iters: u64 = 1;
-        loop {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            let elapsed = t0.elapsed();
-            if elapsed >= target || iters >= 1 << 30 {
-                let ns = elapsed.as_nanos() as f64 / iters as f64;
-                println!("{name:<44} {:>14} ns/iter   ({iters} iters)", fmt_num(ns));
-                self.ns_per_iter.push((name.to_owned(), ns));
-                return;
-            }
-            iters = if elapsed.is_zero() {
-                iters * 8
-            } else {
-                // Aim straight for the target with 20% headroom.
-                let scale = target.as_secs_f64() / elapsed.as_secs_f64() * 1.2;
-                (iters as f64 * scale).ceil() as u64
-            };
-        }
+    /// Times `f` with [`time_ns`], then records and prints ns/iter.
+    fn bench<R, F: FnMut() -> R>(&mut self, name: &str, target: Duration, f: F) {
+        let (ns, iters) = time_ns(target, f);
+        println!("{name:<44} {:>14} ns/iter   ({iters} iters)", fmt_num(ns));
+        self.ns_per_iter.push((name.to_owned(), ns));
     }
 
-    /// Serializes the results as a stable, machine-readable JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema\": \"bench_kernels/v1\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str("  \"ns_per_iter\": {\n");
-        for (i, (name, ns)) in self.ns_per_iter.iter().enumerate() {
-            let sep = if i + 1 == self.ns_per_iter.len() {
-                ""
-            } else {
-                ","
-            };
-            s.push_str(&format!("    \"{name}\": {ns:.1}{sep}\n"));
-        }
-        s.push_str("  },\n  \"rt_acked_tuples_per_s\": {\n");
-        for (i, (bs, tput)) in self.rt_acked_tuples_per_s.iter().enumerate() {
-            let sep = if i + 1 == self.rt_acked_tuples_per_s.len() {
-                ""
-            } else {
-                ","
-            };
-            s.push_str(&format!("    \"{bs}\": {tput:.1}{sep}\n"));
-        }
-        s.push_str("  }\n}\n");
-        s
+    /// The `BENCH_kernels.json` document (`bench_kernels/v1`).
+    pub fn kernels_doc(&self) -> JsonValue {
+        let entries = [
+            ("ns_per_iter", report::numbers(&self.ns_per_iter)),
+            (
+                "rt_acked_tuples_per_s",
+                report::numbers(&self.rt_acked_tuples_per_s),
+            ),
+        ];
+        doc("bench_kernels/v1", self.mode, entries)
     }
 
-    /// Writes [`to_json`](Self::to_json) to `BENCH_kernels.json` at the
-    /// repository root and returns the path.
-    pub fn write_json_at_repo_root(&self) -> std::io::Result<PathBuf> {
-        let path = PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_kernels.json"
-        ));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
-    /// Serializes the worker-scaling sweep as a stable JSON document keyed
-    /// `"w{workers}_b{batch}"`, the format CI's regression gate consumes.
-    /// When the overload point ran, an `overload_queue_wait_us` section is
-    /// appended; the throughput-gate parser only reads
-    /// `acked_tuples_per_s`, so the extra section is backward compatible.
-    pub fn rt_scaling_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n  \"schema\": \"bench_rt/v1\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!(
-            "  \"host_parallelism\": {},\n",
-            self.host_parallelism
-        ));
+    /// The `BENCH_rt.json` document (`bench_rt/v1`): the worker-scaling
+    /// sweep keyed `"w{workers}_b{batch}"`, the format CI's regression gate
+    /// reads, plus the `overload_queue_wait_us` section when the overload
+    /// point ran.
+    pub fn rt_doc(&self) -> JsonValue {
+        let mut entries = vec![("host_parallelism", self.host_parallelism.serialize_value())];
         if !self.oversubscribed.is_empty() {
-            s.push_str("  \"oversubscribed\": [");
-            for (i, key) in self.oversubscribed.iter().enumerate() {
-                let sep = if i + 1 == self.oversubscribed.len() {
-                    ""
-                } else {
-                    ", "
-                };
-                s.push_str(&format!("\"{key}\"{sep}"));
-            }
-            s.push_str("],\n");
+            entries.push(("oversubscribed", self.oversubscribed.serialize_value()));
         }
-        s.push_str("  \"acked_tuples_per_s\": {\n");
-        for (i, (workers, batch, tput)) in self.rt_scaling.iter().enumerate() {
-            let sep = if i + 1 == self.rt_scaling.len() {
-                ""
-            } else {
-                ","
-            };
-            s.push_str(&format!("    \"w{workers}_b{batch}\": {tput:.1}{sep}\n"));
-        }
-        s.push_str("  }");
+        entries.push(("acked_tuples_per_s", report::scaling(&self.rt_scaling)));
         if let Some(o) = &self.rt_overload {
-            s.push_str(",\n  \"overload_queue_wait_us\": {\n");
-            s.push_str(&format!(
-                "    \"throttled_p99\": {:.1},\n",
-                o.throttled_p99_us
-            ));
-            s.push_str(&format!(
-                "    \"unthrottled_p99\": {:.1},\n",
-                o.unthrottled_p99_us
-            ));
-            s.push_str(&format!(
-                "    \"unthrottled_p50\": {:.1}\n  }}",
-                o.unthrottled_p50_us
+            entries.push((
+                "overload_queue_wait_us",
+                obj([
+                    ("throttled_p99", fixed(o.throttled_p99_us, 1)),
+                    ("unthrottled_p99", fixed(o.unthrottled_p99_us, 1)),
+                    ("unthrottled_p50", fixed(o.unthrottled_p50_us, 1)),
+                ]),
             ));
         }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// Writes [`rt_scaling_json`](Self::rt_scaling_json) to `BENCH_rt.json`
-    /// at the repository root and returns the path.
-    pub fn write_rt_json_at_repo_root(&self) -> std::io::Result<PathBuf> {
-        let path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rt.json"));
-        std::fs::write(&path, self.rt_scaling_json())?;
-        Ok(path)
+        doc("bench_rt/v1", self.mode, entries)
     }
 }
 
-fn fmt_num(v: f64) -> String {
-    if v >= 1e9 {
-        format!("{:.2}e9", v / 1e9)
-    } else if v >= 1e6 {
-        format!("{:.1}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else {
-        format!("{v:.1}")
+/// Times `f` adaptively: doubles the iteration count until the measured
+/// run exceeds `target`, then returns ns/iter over the final run and its
+/// iteration count.
+pub(crate) fn time_ns<R>(target: Duration, mut f: impl FnMut() -> R) -> (f64, u64) {
+    // Warm-up.
+    std::hint::black_box(f());
+    let mut iters: u64 = 1;
+    loop {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(f());
+        }
+        let elapsed = t0.elapsed();
+        if elapsed >= target || iters >= 1 << 30 {
+            return (elapsed.as_nanos() as f64 / iters as f64, iters);
+        }
+        iters = if elapsed.is_zero() {
+            iters * 8
+        } else {
+            // Aim straight for the target with 20% headroom.
+            let scale = target.as_secs_f64() / elapsed.as_secs_f64() * 1.2;
+            (iters as f64 * scale).ceil() as u64
+        };
     }
 }
 
@@ -358,33 +288,17 @@ fn bench_acker(res: &mut MicroResults, target: Duration) {
 }
 
 fn bench_engine(res: &mut MicroResults, target: Duration, sim_horizon_s: f64) {
-    struct Src(u64);
-    impl Spout for Src {
-        fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
-            let due = (out.now_s() * 5000.0) as u64;
-            for _ in 0..(due.saturating_sub(self.0)).min(32) {
-                self.0 += 1;
-                out.emit_with_id(Tuple::of([Value::from(self.0 as i64)]), self.0);
-            }
-            true
-        }
-    }
-    struct Sink;
-    impl Bolt for Sink {
-        fn execute(&mut self, _t: &Tuple, _o: &mut BoltOutput) {}
-    }
-
     res.bench("engine/sim_5000tps_pipeline", target, || {
         let mut builder = TopologyBuilder::new("bench");
         builder
-            .set_spout("src", 1, || Src(0))
+            .set_spout("src", 1, || BenchSpout::paced(5000.0, 32))
             .unwrap()
             .cost(CostModel {
                 base_service_time_us: 5.0,
                 jitter: 0.0,
             });
         builder
-            .set_bolt("sink", 4, || Sink)
+            .set_bolt("sink", 4, || Blackhole)
             .unwrap()
             .shuffle_grouping("src")
             .unwrap()
@@ -452,87 +366,17 @@ fn bench_control_epoch(res: &mut MicroResults, target: Duration) {
     });
 }
 
-// --- Threaded-runtime batching throughput ------------------------------
+// --- Threaded-runtime throughput ----------------------------------------
 
-/// Spout that emits tracked tuples as fast as backpressure allows until
-/// `stop` is raised.
-struct FloodSpout {
-    next_id: u64,
-    stop: Arc<AtomicBool>,
-}
-
-impl Spout for FloodSpout {
-    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
-        if self.stop.load(Ordering::Relaxed) {
-            return false;
-        }
-        for _ in 0..32 {
-            self.next_id += 1;
-            out.emit_with_id(Tuple::of([Value::from(self.next_id as i64)]), self.next_id);
-        }
-        true
-    }
-}
-
-/// Middle stage: re-emits each tuple anchored (keeps the tree alive one hop).
-struct Relay;
-impl Bolt for Relay {
-    fn execute(&mut self, t: &Tuple, out: &mut BoltOutput) {
-        out.emit(t.clone());
-    }
-}
-
-struct Blackhole;
-impl Bolt for Blackhole {
-    fn execute(&mut self, _t: &Tuple, _o: &mut BoltOutput) {}
-}
-
-/// Runs the 3-stage shuffle topology (spout → relay ×2 → sink ×2) for
-/// `run_s` seconds and returns acked tuple trees per second.
-fn rt_throughput(batch_size: usize, run_s: f64) -> f64 {
+/// Runs a `spout → relay ×workers → sink ×workers` shuffle pipeline on a
+/// `machines × workers` cluster for `run_s` seconds at the given batch size
+/// and returns acked tuple trees per second.
+pub fn rt_pipeline(machines: usize, workers: usize, batch_size: usize, run_s: f64) -> f64 {
     let stop = Arc::new(AtomicBool::new(false));
     let s2 = stop.clone();
-    let mut b = TopologyBuilder::new("rt-batch-bench");
-    b.set_spout("src", 1, move || FloodSpout {
-        next_id: 0,
-        stop: s2.clone(),
-    })
-    .unwrap();
-    b.set_bolt("relay", 2, || Relay)
-        .unwrap()
-        .shuffle_grouping("src")
+    let mut b = TopologyBuilder::new("rt-pipeline-bench");
+    b.set_spout("src", 1, move || BenchSpout::flood(32).until(s2.clone()))
         .unwrap();
-    b.set_bolt("sink", 2, || Blackhole)
-        .unwrap()
-        .shuffle_grouping("relay")
-        .unwrap();
-    let topo = b.build().unwrap();
-    let mut cfg = EngineConfig::default().with_cluster(2, 2, 4);
-    // Batching raises per-tree completion latency (tuples wait for a full
-    // batch at each hop), so the in-flight window must grow with the batch
-    // size or the spout throttles on max_spout_pending instead of measuring
-    // channel throughput — the same tuning rule as Storm's
-    // topology.max.spout.pending.
-    cfg.max_spout_pending = 16 * 1024;
-    let rt_cfg = RtConfig::default().with_batch_size(batch_size);
-    let running = rt::submit_with(topo, cfg, rt_cfg).unwrap();
-    std::thread::sleep(Duration::from_secs_f64(run_s));
-    stop.store(true, Ordering::Relaxed);
-    let (_, report) = running.shutdown();
-    report.acked as f64 / report.uptime_s
-}
-
-/// Runs a `spout → relay ×w → sink ×w` shuffle pipeline on a `w`-worker
-/// cluster for `run_s` seconds and returns acked tuple trees per second.
-fn rt_scaling_throughput(workers: usize, batch_size: usize, run_s: f64) -> f64 {
-    let stop = Arc::new(AtomicBool::new(false));
-    let s2 = stop.clone();
-    let mut b = TopologyBuilder::new("rt-scaling-bench");
-    b.set_spout("src", 1, move || FloodSpout {
-        next_id: 0,
-        stop: s2.clone(),
-    })
-    .unwrap();
     b.set_bolt("relay", workers, || Relay)
         .unwrap()
         .shuffle_grouping("src")
@@ -542,7 +386,12 @@ fn rt_scaling_throughput(workers: usize, batch_size: usize, run_s: f64) -> f64 {
         .shuffle_grouping("relay")
         .unwrap();
     let topo = b.build().unwrap();
-    let mut cfg = EngineConfig::default().with_cluster(1, workers, 4);
+    let mut cfg = EngineConfig::default().with_cluster(machines, workers, 4);
+    // Batching raises per-tree completion latency (tuples wait for a full
+    // batch at each hop), so the in-flight window must grow with the batch
+    // size or the spout throttles on max_spout_pending instead of measuring
+    // channel throughput — the same tuning rule as Storm's
+    // topology.max.spout.pending.
     cfg.max_spout_pending = 16 * 1024;
     let rt_cfg = RtConfig::default().with_batch_size(batch_size);
     let running = rt::submit_with(topo, cfg, rt_cfg).unwrap();
@@ -567,49 +416,33 @@ fn bench_rt_scaling(res: &mut MicroResults, run_s: f64) {
             // oversubscription, so it is stamped as such in the JSON and
             // never used as a scaling claim.
             let oversubscribed = 2 * workers + 1 > res.host_parallelism;
-            let tput = rt_scaling_throughput(workers, batch, run_s);
+            let tput = rt_pipeline(1, workers, batch, run_s);
             res.rt_scaling.push((workers, batch, tput));
+            let mut note = "";
             if oversubscribed {
                 res.oversubscribed.push(format!("w{workers}_b{batch}"));
+                note = "   (oversubscribed)";
             }
-            println!(
-                "  workers {workers}  batch {batch:>3}: {:>12} acked tuples/s{}",
-                fmt_num(tput),
-                if oversubscribed {
-                    "   (oversubscribed)"
-                } else {
-                    ""
-                }
-            );
+            let tput_s = fmt_num(tput);
+            println!("  workers {workers}  batch {batch:>3}: {tput_s:>12} acked tuples/s{note}");
         }
+    }
+}
+
+fn bench_rt_batching(res: &mut MicroResults, run_s: f64) {
+    println!("\nrt_batching: 3-stage shuffle topology (src -> relay x2 -> sink x2), {run_s:.1}s per point");
+    for &bs in &[1usize, 8, 64] {
+        let tput = rt_pipeline(2, 2, bs, run_s);
+        res.rt_acked_tuples_per_s.push((bs, tput));
+        println!(
+            "  batch_size {bs:>3}: {:>12} acked tuples/s   ({:.2}x vs batch 1)",
+            fmt_num(tput),
+            tput / res.rt_acked_tuples_per_s[0].1
+        );
     }
 }
 
 // --- Threaded-runtime overload point -----------------------------------
-
-/// Spout paced at a fixed offered rate (tuples/s), independent of
-/// backpressure: when the downstream queues push back it falls behind and
-/// catches up in bounded bursts, which is exactly how an external source
-/// behaves during a flash crowd.
-struct PacedSpout {
-    next_id: u64,
-    rate: f64,
-    stop: Arc<AtomicBool>,
-}
-
-impl Spout for PacedSpout {
-    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
-        if self.stop.load(Ordering::Relaxed) {
-            return false;
-        }
-        let due = (out.now_s() * self.rate) as u64;
-        for _ in 0..due.saturating_sub(self.next_id).min(256) {
-            self.next_id += 1;
-            out.emit_with_id(Tuple::of([Value::from(self.next_id as i64)]), self.next_id);
-        }
-        true
-    }
-}
 
 /// Sink whose service time is a real sleep, so the overload is genuine
 /// occupancy rather than a simulated cost (and a single-core bench host is
@@ -637,10 +470,8 @@ fn rt_overload_report(throttle: bool, run_s: f64) -> rt::ThreadedReport {
     let stop = Arc::new(AtomicBool::new(false));
     let s2 = stop.clone();
     let mut b = TopologyBuilder::new("rt-overload-bench");
-    b.set_spout("src", 1, move || PacedSpout {
-        next_id: 0,
-        rate: offered,
-        stop: s2.clone(),
+    b.set_spout("src", 1, move || {
+        BenchSpout::paced(offered, 256).until(s2.clone())
     })
     .unwrap();
     b.set_bolt("sink", SINK_WORKERS, || SleepySink {
@@ -662,8 +493,7 @@ fn rt_overload_report(throttle: bool, run_s: f64) -> rt::ThreadedReport {
     let running = rt::submit_with(topo, cfg, rt_cfg).unwrap();
     std::thread::sleep(Duration::from_secs_f64(run_s));
     stop.store(true, Ordering::Relaxed);
-    let (_, report) = running.shutdown();
-    report
+    running.shutdown().1
 }
 
 /// Measures the overload pair (throttled, then unthrottled) and records the
@@ -730,34 +560,11 @@ fn check_overload_gate(res: &MicroResults) -> Result<(), String> {
     Ok(())
 }
 
-fn bench_rt_batching(res: &mut MicroResults, run_s: f64) {
-    println!("\nrt_batching: 3-stage shuffle topology (src -> relay x2 -> sink x2), {run_s:.1}s per point");
-    let base = rt_throughput(1, run_s);
-    res.rt_acked_tuples_per_s.push((1, base));
-    println!(
-        "  batch_size   1: {:>12} acked tuples/s   (baseline)",
-        fmt_num(base)
-    );
-    for &bs in &[8usize, 64] {
-        let tput = rt_throughput(bs, run_s);
-        res.rt_acked_tuples_per_s.push((bs, tput));
-        println!(
-            "  batch_size {bs:>3}: {:>12} acked tuples/s   ({:.2}x vs batch 1)",
-            fmt_num(tput),
-            tput / base
-        );
-    }
-}
-
 /// Runs the full microbenchmark suite.  Smoke mode (used under
 /// `cargo test`, which passes `--test` to harness-less bench targets)
 /// shrinks every budget so the suite just proves it still runs end to end.
 pub fn run(smoke: bool) -> MicroResults {
-    let target = if smoke {
-        Duration::from_millis(1)
-    } else {
-        Duration::from_millis(300)
-    };
+    let target = Duration::from_millis(if smoke { 1 } else { 300 });
     let mut res = MicroResults::new(if smoke { "smoke" } else { "full" });
     println!("microbench ({} mode)\n", res.mode);
     bench_gemm(&mut res, target);
@@ -775,187 +582,20 @@ pub fn run(smoke: bool) -> MicroResults {
     res
 }
 
-/// Reads the `w1_b64` throughput out of a `bench_rt/v1` JSON document.
-fn rt_baseline_w1_b64(json: &str) -> Option<f64> {
-    use serde::JsonValue;
-    let root = serde_json::parse(json).ok()?;
-    let JsonValue::Object(fields) = root else {
-        return None;
-    };
-    let tputs = fields.iter().find(|(k, _)| k == "acked_tuples_per_s")?;
-    let JsonValue::Object(points) = &tputs.1 else {
-        return None;
-    };
-    match points.iter().find(|(k, _)| k == "w1_b64")?.1 {
-        JsonValue::F64(v) => Some(v),
-        JsonValue::I64(v) => Some(v as f64),
-        JsonValue::U64(v) => Some(v as f64),
-        _ => None,
-    }
-}
-
-/// CI regression gate: compares the fresh `w1_b64` (single-worker, batch-64)
-/// throughput against the checked-in baseline and fails on a >20% drop.
-fn check_rt_baseline(res: &MicroResults, baseline_path: &str) -> Result<(), String> {
-    let json = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline = rt_baseline_w1_b64(&json)
-        .ok_or_else(|| format!("no acked_tuples_per_s.w1_b64 in {baseline_path}"))?;
-    let fresh = res
-        .rt_scaling
-        .iter()
-        .find(|(w, b, _)| *w == 1 && *b == 64)
-        .map(|(_, _, t)| *t)
-        .ok_or_else(|| "rt_scaling sweep did not produce a w1_b64 point".to_string())?;
-    println!(
-        "\nrt baseline check: w1_b64 fresh {} vs baseline {} ({:+.1}%)",
-        fmt_num(fresh),
-        fmt_num(baseline),
-        (fresh / baseline - 1.0) * 100.0
-    );
-    if fresh < baseline * 0.8 {
-        return Err(format!(
-            "rt throughput regression: w1_b64 {fresh:.0} tuples/s is more than 20% below \
-             the baseline {baseline:.0} tuples/s"
-        ));
-    }
-    Ok(())
-}
-
-/// Runs the `strip-telemetry` reference binary for one `w1_b64` sample via
-/// its `--rt-point` mode and parses the machine-readable result, verifying
-/// the binary really was built without hot-path telemetry.
-fn stripped_point(bin: &str, secs: f64) -> Result<f64, String> {
-    let out = std::process::Command::new(bin)
-        .args(["--rt-point", "1", "64"])
-        .arg(format!("{secs}"))
-        .arg("1")
-        .output()
-        .map_err(|e| format!("cannot run stripped reference {bin}: {e}"))?;
-    let text = String::from_utf8_lossy(&out.stdout);
-    if text.contains("telemetry_compiled: true") {
-        return Err(format!(
-            "{bin} was built WITH telemetry compiled in; rebuild it with --features strip-telemetry"
-        ));
-    }
-    text.lines()
-        .find_map(|l| l.strip_prefix("rt_point_sample: ")?.trim().parse().ok())
-        .ok_or_else(|| format!("no rt_point_sample line in output of {bin}:\n{text}"))
-}
-
-/// CI telemetry-overhead gate: with telemetry compiled in but *disabled*
-/// (`trace_sample_rate = 0`, no metrics address — the default [`RtConfig`]),
-/// `w1_b64` throughput must stay within 3% of a `strip-telemetry` build's.
-///
-/// Takes the *path of a stripped reference binary* and interleaves its
-/// samples with this build's, pair by pair.  Interleaving matters: the
-/// machine's throughput ceiling drifts over minutes, so two builds measured
-/// in separate CI steps can differ ±10% with zero real overhead, swamping
-/// the 3% tolerance.  Even adjacent samples swing ±15% on a shared
-/// machine, so no aggregate of a few samples separates a real 3% cost from
-/// noise — but a *real* hot-path cost depresses every pair, while noise
-/// flips sign between pairs.  The gate therefore fails only when the
-/// instrumented build lost by more than the tolerance in **all** pairs:
-/// that never happens under noise alone (each pair passes with ~60%
-/// probability, all-fail is <1% over six pairs) and always happens for the
-/// gross regressions the gate exists to catch, like tracing accidentally
-/// running with sampling disabled.  Writes the comparison to
-/// `BENCH_telemetry.json` at the repository root regardless of the verdict,
-/// so the artifact survives a failing gate.
-fn check_telemetry_overhead(mode: &str, smoke: bool, stripped_bin: &str) -> Result<(), String> {
-    const TOLERANCE: f64 = 0.03;
-    if !dsdps::telemetry::HOT_PATH_TELEMETRY {
-        return Err(
-            "--check-telemetry-overhead must run on a build WITHOUT strip-telemetry \
-             (this build has the feature enabled, so there is nothing to measure)"
-                .to_string(),
-        );
-    }
-    let (reps, secs) = if smoke { (6, 1.0) } else { (5, 2.0) };
-    println!("\ntelemetry overhead gate: {reps} interleaved w1_b64 pairs, {secs}s each");
-    let (mut stripped, mut fresh) = (0.0f64, 0.0f64);
-    let mut min_pair_overhead = f64::INFINITY;
-    for r in 0..reps {
-        let s = stripped_point(stripped_bin, secs)?;
-        let f = rt_scaling_throughput(1, 64, secs);
-        let pair_overhead = (1.0 - f / s) * 100.0;
-        println!(
-            "  pair {r}: stripped {:>10}  instrumented-disabled {:>10} acked tuples/s \
-             ({pair_overhead:+.1}%)",
-            fmt_num(s),
-            fmt_num(f)
-        );
-        stripped = stripped.max(s);
-        fresh = fresh.max(f);
-        min_pair_overhead = min_pair_overhead.min(pair_overhead);
-    }
-    let overhead_pct = (1.0 - fresh / stripped) * 100.0;
-    println!(
-        "telemetry overhead check: best w1_b64 instrumented-disabled {} vs stripped {} \
-         ({overhead_pct:+.1}% best-of, {min_pair_overhead:+.1}% min pair, tolerance {:.0}%)",
-        fmt_num(fresh),
-        fmt_num(stripped),
-        TOLERANCE * 100.0
-    );
-    let mut doc = format!(
-        "{{\n  \"schema\": \"bench_telemetry/v1\",\n  \"mode\": \"{mode}\",\n  \
-         \"acked_tuples_per_s\": {{\n    \"w1_b64_stripped\": {stripped:.1},\n    \
-         \"w1_b64_instrumented_disabled\": {fresh:.1}\n  }},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \
-         \"min_pair_overhead_pct\": {min_pair_overhead:.2},\n  \
-         \"tolerance_pct\": {:.1}\n}}\n",
-        TOLERANCE * 100.0
-    );
-    let path = PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_telemetry.json"
-    ));
-    // Rewriting the rt half must not drop the dist gate's section.
-    if let Some(dist) = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|t| crate::dist_bench::dist_section_body(&t))
-    {
-        doc = crate::dist_bench::merge_dist_section(&doc, &dist);
-    }
-    match std::fs::write(&path, doc) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_telemetry.json: {e}"),
-    }
-    if min_pair_overhead > TOLERANCE * 100.0 {
-        return Err(format!(
-            "telemetry overhead regression: disabled-telemetry throughput lost to the \
-             stripped build by more than {:.0}% in every one of {reps} interleaved pairs \
-             (min pair overhead {min_pair_overhead:+.1}%)",
-            TOLERANCE * 100.0
-        ));
-    }
-    Ok(())
-}
-
 /// Shared entry point for the `microbench` bin and bench targets: runs the
-/// suite and writes `BENCH_kernels.json` + `BENCH_rt.json` at the repository
-/// root.  `--check-rt-baseline <path>` additionally enforces the CI
-/// throughput-regression gate; `--check-telemetry-overhead <stripped-bin>`
-/// enforces the telemetry-overhead gate against a `strip-telemetry` build
-/// of this same binary via interleaved best-of-N sampling (3% tolerance,
-/// writing `BENCH_telemetry.json`).  `--check-overload-gate` enforces the
-/// backpressure gate at the 4×-overload point: throttled steady-state
-/// queue-wait p99 must stay within 5× the unthrottled run's median.
-/// `--check-recovery-gate` enforces the fault-recovery gate over the
-/// `rt_recovery` results (every guarantee checkpoints, restores and keeps
-/// its promise; the exactly-once restore beats a factory-fresh recompute).
-/// `--rt-point W B SECS REPS` repeats one scaling point for manual A/B runs
-/// (and serves the gate's reference samples).  `--dist-only` runs only the
-/// multi-process suite (codec + dist_scaling + recovery, writing
-/// `BENCH_dist.json`); `--check-dist-baseline <path>` enforces the
-/// distributed gate (≥5× codec speedup at batch 64, full recovery after a
-/// worker kill, and ≤20% `w2_b64` throughput regression).
-/// `--dist-point W B SECS REPS` repeats one multi-process scaling point
-/// (the dist analogue of `--rt-point`, serving the dist telemetry gate's
-/// stripped reference samples); `--check-dist-telemetry-overhead
-/// <stripped-bin>` enforces the distributed telemetry-overhead gate (3%
-/// tolerance, interleaved min-pair, merging a `dist` section into
-/// `BENCH_telemetry.json`).
+/// suites, writes their `BENCH_*.json` files at the repository root, then
+/// runs every gate requested on the command line.
+///
+/// `--test` shrinks every budget (smoke mode); `--dist-only` runs only the
+/// multi-process suite and `--sim-only` only the simulator sweep.  The gates
+/// are `--check-rt-baseline <path>`, `--check-overload-gate`,
+/// `--check-recovery-gate`, `--check-sim-baseline <path>`,
+/// `--check-dist-baseline <path>`, `--check-telemetry-overhead
+/// <stripped-bin>` and `--check-dist-telemetry-overhead <stripped-bin>`,
+/// each documented at its check function.  Every requested gate runs even
+/// when an earlier one fails, and the process exits 1 if any failed.
+/// `--rt-point W B SECS REPS`, `--dist-point W B SECS REPS` and `--sim-point
+/// WORKERS TUPLES` run one point instead, for A/B-ing builds.
 pub fn main_entry() {
     // A re-exec of this binary with `DSDPS_DIST_ADDR` set is a distributed
     // worker for the dist_scaling bench, not a fresh suite run.
@@ -963,67 +603,30 @@ pub fn main_entry() {
         return;
     }
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--test");
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let after = |flag: &str| args.iter().position(|a| a == flag).map(|i| &args[i + 1..]);
     let flag_path = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
+        after(flag).map(|rest| {
+            rest.first()
                 .cloned()
                 .unwrap_or_else(|| panic!("{flag} requires a path argument"))
         })
     };
-    let baseline = flag_path("--check-rt-baseline");
-    let telemetry_check = flag_path("--check-telemetry-overhead");
-    let sim_baseline = flag_path("--check-sim-baseline");
-    let dist_baseline = flag_path("--check-dist-baseline");
-    let dist_telemetry_check = flag_path("--check-dist-telemetry-overhead");
-    let overload_gate = args.iter().any(|a| a == "--check-overload-gate");
-    let recovery_gate = args.iter().any(|a| a == "--check-recovery-gate");
-    if let Some(i) = args.iter().position(|a| a == "--dist-point") {
-        // Diagnostic mode: repeat one multi-process scaling point, for
-        // A/B-ing the distributed backend without the whole suite.
-        let n = |k: usize| -> f64 { args[i + k].parse().expect("--dist-point W B SECS REPS") };
-        let (w, b, secs, reps) = (n(1) as usize, n(2) as usize, n(3), n(4) as usize);
-        println!(
-            "dist-point w{w} b{b} {secs}s x{reps} (telemetry_compiled: {})",
-            dsdps::telemetry::HOT_PATH_TELEMETRY
-        );
-        for r in 0..reps {
-            let tput = crate::dist_bench::run_point(w, b, secs);
-            // Machine-readable line, parsed by the dist telemetry-overhead
-            // gate when it drives the stripped reference binary.
-            println!("dist_point_sample: {tput:.1}");
-            println!("  rep {r}: {:>12} acked tuples/s", fmt_num(tput));
-        }
+    if let Some(rest) = after("--dist-point") {
+        report::DIST.point_mode(rest);
         return;
     }
-    if args.iter().any(|a| a == "--dist-only") {
-        // Run only the distributed suite (plus its gates, if requested) —
-        // what the CI dist-smoke job executes.
-        let dist = crate::dist_bench::run(smoke);
-        match dist.write_json_at_repo_root() {
-            Ok(p) => println!("wrote {}", p.display()),
-            Err(e) => eprintln!("failed to write BENCH_dist.json: {e}"),
-        }
-        if let Some(path) = dist_baseline {
-            if let Err(msg) = crate::dist_bench::check_dist_baseline(&dist, &path) {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-        if let Some(path) = dist_telemetry_check {
-            if let Err(msg) = crate::dist_bench::check_dist_telemetry_overhead(smoke, &path) {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(rest) = after("--rt-point") {
+        report::RT.point_mode(rest);
         return;
     }
-    if let Some(i) = args.iter().position(|a| a == "--sim-point") {
-        // Diagnostic mode: run one simulator scaling point, for A/B-ing the
-        // engine without paying for the whole suite.
-        let n = |k: usize| -> f64 { args[i + k].parse().expect("--sim-point WORKERS TUPLES") };
-        let (w, t) = (n(1) as usize, n(2) as u64);
-        let p = crate::sim_scaling::run_point(w, t);
+    if let Some(rest) = after("--sim-point") {
+        let n = |k: usize| -> f64 {
+            rest.get(k)
+                .and_then(|a| a.parse().ok())
+                .expect("--sim-point WORKERS TUPLES")
+        };
+        let p = crate::sim_scaling::run_point(n(0) as usize, n(1) as u64);
         println!(
             "sim-point {}: {:.2}M processed/s (wall {:.3}s, virtual {:.3}s, acked {})",
             p.key,
@@ -1034,115 +637,76 @@ pub fn main_entry() {
         );
         return;
     }
-    if args.iter().any(|a| a == "--sim-only") {
-        // Run only the simulator sweep (plus its gate, if requested).
-        let sim = crate::sim_scaling::run(smoke);
-        match crate::sim_scaling::write_sim_json(&sim) {
-            Ok(p) => println!("wrote {p}"),
-            Err(e) => eprintln!("failed to write BENCH_sim.json: {e}"),
+
+    let smoke = has("--test");
+    let mode = if smoke { "smoke" } else { "full" };
+    let (dist_only, sim_only) = (has("--dist-only"), has("--sim-only"));
+    let all = !dist_only && !sim_only;
+    let res = all.then(|| run(smoke));
+    if let Some(res) = &res {
+        println!();
+        report::write_at_repo_root("BENCH_kernels.json", &res.kernels_doc());
+        report::write_at_repo_root("BENCH_rt.json", &res.rt_doc());
+    }
+    let recovery = all.then(|| crate::recovery::run(smoke));
+    if let Some(recovery) = &recovery {
+        report::write_at_repo_root("BENCH_recovery.json", &recovery.doc());
+    }
+    let sim = (all || sim_only).then(|| crate::sim_scaling::run(smoke));
+    if let Some(sim) = &sim {
+        report::write_at_repo_root("BENCH_sim.json", &sim.doc());
+    }
+    let dist = (all || dist_only).then(|| crate::dist_bench::run(smoke));
+    if let Some(dist) = &dist {
+        report::write_at_repo_root("BENCH_dist.json", &dist.doc());
+    }
+
+    let mut gates: Vec<Gate> = Vec::new();
+    if let Some(res) = &res {
+        if let Some(path) = flag_path("--check-rt-baseline") {
+            // CI regression gate: single-worker batch-64 throughput.
+            gates.push(Box::new(move || {
+                report::throughput_floor("rt", &res.rt_doc(), &report::read(&path)?, &W1_B64)
+            }));
         }
-        if let Some(path) = sim_baseline {
-            let baseline_json = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read sim baseline {path}: {e}"));
-            if let Err(msg) = crate::sim_scaling::check_sim_baseline(&sim.to_json(), &baseline_json)
-            {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--rt-point") {
-        // Diagnostic mode: repeat one rt_scaling point and print each sample,
-        // for A/B-ing builds without paying for the whole suite.
-        let n = |k: usize| -> f64 { args[i + k].parse().expect("--rt-point W B SECS REPS") };
-        let (w, b, secs, reps) = (n(1) as usize, n(2) as usize, n(3), n(4) as usize);
-        println!(
-            "rt-point w{w} b{b} {secs}s x{reps} (telemetry_compiled: {})",
-            dsdps::telemetry::HOT_PATH_TELEMETRY
-        );
-        for r in 0..reps {
-            let tput = rt_scaling_throughput(w, b, secs);
-            // Machine-readable line, parsed by the telemetry-overhead gate
-            // when it drives the stripped reference binary.
-            println!("rt_point_sample: {tput:.1}");
-            println!("  rep {r}: {:>12} acked tuples/s", fmt_num(tput));
-        }
-        return;
-    }
-    let res = run(smoke);
-    match res.write_json_at_repo_root() {
-        Ok(p) => println!("\nwrote {}", p.display()),
-        Err(e) => eprintln!("\nfailed to write BENCH_kernels.json: {e}"),
-    }
-    match res.write_rt_json_at_repo_root() {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("failed to write BENCH_rt.json: {e}"),
-    }
-    let recovery = crate::recovery::run(smoke);
-    match recovery.write_json_at_repo_root() {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("failed to write BENCH_recovery.json: {e}"),
-    }
-    let sim = crate::sim_scaling::run(smoke);
-    match crate::sim_scaling::write_sim_json(&sim) {
-        Ok(p) => println!("wrote {p}"),
-        Err(e) => eprintln!("failed to write BENCH_sim.json: {e}"),
-    }
-    let dist = crate::dist_bench::run(smoke);
-    match dist.write_json_at_repo_root() {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("failed to write BENCH_dist.json: {e}"),
-    }
-    if let Some(path) = baseline {
-        if let Err(msg) = check_rt_baseline(&res, &path) {
-            eprintln!("{msg}");
-            std::process::exit(1);
+        if has("--check-overload-gate") {
+            gates.push(Box::new(move || check_overload_gate(res)));
         }
     }
-    if overload_gate {
-        if let Err(msg) = check_overload_gate(&res) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
+    if let Some(recovery) = recovery.as_ref().filter(|_| has("--check-recovery-gate")) {
+        gates.push(Box::new(move || {
+            crate::recovery::check_recovery_gate(recovery)
+        }));
     }
-    if recovery_gate {
-        if let Err(msg) = crate::recovery::check_recovery_gate(&recovery) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
+    if let (Some(sim), Some(path)) = (&sim, flag_path("--check-sim-baseline")) {
+        gates.push(Box::new(move || {
+            crate::sim_scaling::check_sim_baseline(&sim.doc(), &report::read(&path)?)
+        }));
     }
-    if let Some(path) = sim_baseline {
-        let baseline_json = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read sim baseline {path}: {e}"));
-        if let Err(msg) = crate::sim_scaling::check_sim_baseline(&sim.to_json(), &baseline_json) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
+    if let (Some(dist), Some(path)) = (&dist, flag_path("--check-dist-baseline")) {
+        gates.push(Box::new(move || {
+            crate::dist_bench::check_dist_baseline(dist, &report::read(&path)?)
+        }));
     }
-    if let Some(path) = dist_baseline {
-        if let Err(msg) = crate::dist_bench::check_dist_baseline(&dist, &path) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
+    if let (true, Some(bin)) = (all, flag_path("--check-telemetry-overhead")) {
+        gates.push(Box::new(move || {
+            report::check_telemetry_overhead(&report::RT, mode, smoke, &bin)
+        }));
     }
-    if let Some(path) = telemetry_check {
-        if let Err(msg) = check_telemetry_overhead(res.mode, smoke, &path) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
+    if let (true, Some(bin)) = (dist.is_some(), flag_path("--check-dist-telemetry-overhead")) {
+        gates.push(Box::new(move || {
+            report::check_telemetry_overhead(&report::DIST, mode, smoke, &bin)
+        }));
     }
-    if let Some(path) = dist_telemetry_check {
-        if let Err(msg) = crate::dist_bench::check_dist_telemetry_overhead(smoke, &path) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
+    if !report::run_gates(gates).is_empty() {
+        std::process::exit(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::number;
 
     fn results_with_overload(thr_p99: f64, unthr_p99: f64, unthr_p50: f64) -> MicroResults {
         let mut res = MicroResults::new("smoke");
@@ -1187,19 +751,28 @@ mod tests {
     #[test]
     fn rt_json_with_overload_block_still_parses_for_the_baseline_gate() {
         let res = results_with_overload(20_000.0, 900_000.0, 400_000.0);
-        let json = res.rt_scaling_json();
-        assert!(json.contains("\"overload_queue_wait_us\""));
-        assert!(json.contains("\"throttled_p99\": 20000.0"));
-        // The throughput-regression parser must keep reading the document.
-        assert_eq!(rt_baseline_w1_b64(&json), Some(120_000.0));
+        let doc = res.rt_doc();
+        let throttled = ["overload_queue_wait_us", "throttled_p99"];
+        assert_eq!(number(&doc, &throttled), Some(20_000.0));
+        // The throughput-regression gate must keep reading the document.
+        assert_eq!(number(&doc, &W1_B64), Some(120_000.0));
+        report::tests::assert_round_trips(&doc);
     }
 
     #[test]
     fn rt_json_without_overload_block_matches_the_legacy_shape() {
         let mut res = MicroResults::new("smoke");
         res.rt_scaling.push((1, 64, 120_000.0));
-        let json = res.rt_scaling_json();
-        assert!(!json.contains("overload_queue_wait_us"));
-        assert_eq!(rt_baseline_w1_b64(&json), Some(120_000.0));
+        let doc = res.rt_doc();
+        assert!(report::get(&doc, &["overload_queue_wait_us"]).is_none());
+        assert_eq!(number(&doc, &W1_B64), Some(120_000.0));
+    }
+
+    #[test]
+    fn kernels_json_round_trips() {
+        let mut res = MicroResults::new("smoke");
+        res.ns_per_iter.push(("gemm/32x32".into(), 3_026.5));
+        res.rt_acked_tuples_per_s = vec![(1, 454_837.8), (8, 1_012_532.3), (64, 1_532_409.4)];
+        report::tests::assert_round_trips(&res.kernels_doc());
     }
 }

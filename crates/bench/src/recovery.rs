@@ -24,19 +24,16 @@
 //! Results are written as `BENCH_recovery.json` (`bench_recovery/v1`) at the
 //! repository root by the shared `microbench` entry point.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput, TopologyContext};
 use dsdps::config::EngineConfig;
-use dsdps::rt::{
-    self, RecoveryMode, RtConfig, RtFault, RtFaultPlan, SnapshotKind, StateSnapshot,
-    StatefulComponent,
-};
+use dsdps::rt::{self, RecoveryMode, RtConfig, RtFault, RtFaultPlan};
 use dsdps::topology::TopologyBuilder;
-use dsdps::tuple::{Tuple, Value};
+use serde::{JsonValue, Serialize};
+
+use crate::fixtures::{ms_until_first, wait_until, BenchSpout, CounterProbe, StatefulCounter};
+use crate::report::{doc, fixed, obj};
 
 /// Measurements of one fault arm (one run under one recovery guarantee).
 pub struct RecoveryArm {
@@ -105,175 +102,47 @@ impl RecoveryResults {
         }
         (1.0 - self.snapshot_binary_bytes_per_ckpt / self.snapshot_json_bytes_per_ckpt) * 100.0
     }
-}
 
-impl RecoveryResults {
-    /// Serializes the results as a stable, machine-readable JSON document
-    /// (`bench_recovery/v1`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema\": \"bench_recovery/v1\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str("  \"arms\": {\n");
-        for (i, a) in self.arms.iter().enumerate() {
-            let sep = if i + 1 == self.arms.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    \"{}\": {{\n      \"recovery_ms\": {:.2},\n      \
-                 \"restore_ms\": {:.3},\n      \"restores\": {},\n      \
-                 \"checkpoints\": {},\n      \"snapshot_bytes\": {},\n      \
-                 \"pre_fault_rate_tuples_per_s\": {:.1},\n      \
-                 \"post_fault_dip_pct\": {:.1},\n      \
-                 \"result_error_pct\": {:.3},\n      \
-                 \"approx_skipped\": {},\n      \"within_bound\": {},\n      \
-                 \"restored_count\": {}\n    }}{sep}\n",
-                a.mode,
-                a.recovery_ms,
-                a.restore_ms,
-                a.restores,
-                a.checkpoints,
-                a.snapshot_bytes,
-                a.pre_fault_rate,
-                a.post_fault_dip_pct,
-                a.result_error_pct,
-                a.approx_skipped,
-                a.within_bound,
-                a.restored_count,
-            ));
-        }
-        s.push_str("  },\n  \"recompute\": {\n");
-        s.push_str(&format!(
-            "    \"prefix_tuples\": {},\n    \"rebuild_ms\": {:.2}\n  }},\n",
-            self.recompute_prefix, self.recompute_rebuild_ms
-        ));
-        s.push_str("  \"snapshot_encoding\": {\n");
-        s.push_str(&format!(
-            "    \"binary_bytes_per_ckpt\": {:.1},\n    \
-             \"json_bytes_per_ckpt\": {:.1},\n    \"reduction_pct\": {:.1}\n  }}\n}}\n",
+    /// The `BENCH_recovery.json` document (`bench_recovery/v1`).
+    pub fn doc(&self) -> JsonValue {
+        let arms = self.arms.iter().map(|a| {
+            let arm = obj([
+                ("recovery_ms", fixed(a.recovery_ms, 2)),
+                ("restore_ms", fixed(a.restore_ms, 3)),
+                ("restores", a.restores.serialize_value()),
+                ("checkpoints", a.checkpoints.serialize_value()),
+                ("snapshot_bytes", a.snapshot_bytes.serialize_value()),
+                ("pre_fault_rate_tuples_per_s", fixed(a.pre_fault_rate, 1)),
+                ("post_fault_dip_pct", fixed(a.post_fault_dip_pct, 1)),
+                ("result_error_pct", fixed(a.result_error_pct, 3)),
+                ("approx_skipped", a.approx_skipped.serialize_value()),
+                ("within_bound", a.within_bound.serialize_value()),
+                ("restored_count", a.restored_count.serialize_value()),
+            ]);
+            (a.mode, arm)
+        });
+        let recompute = obj([
+            ("prefix_tuples", self.recompute_prefix.serialize_value()),
+            ("rebuild_ms", fixed(self.recompute_rebuild_ms, 2)),
+        ]);
+        let (binary, json) = (
             self.snapshot_binary_bytes_per_ckpt,
             self.snapshot_json_bytes_per_ckpt,
-            self.snapshot_reduction_pct()
-        ));
-        s
-    }
-
-    /// Writes [`to_json`](Self::to_json) to `BENCH_recovery.json` at the
-    /// repository root and returns the path.
-    pub fn write_json_at_repo_root(&self) -> std::io::Result<PathBuf> {
-        let path = PathBuf::from(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_recovery.json"
-        ));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-}
-
-/// Finite spout paced at `rate` tuples/s, so the stream is still flowing
-/// when the wall-clock-scheduled panic fires (mirrors the chaos suite's
-/// paced spout).
-struct PacedSpout {
-    left: u64,
-    next_id: u64,
-    rate: f64,
-    started: Option<Instant>,
-}
-
-impl PacedSpout {
-    fn new(n: u64, rate: f64) -> Self {
-        PacedSpout {
-            left: n,
-            next_id: 0,
-            rate,
-            started: None,
-        }
-    }
-}
-
-impl Spout for PacedSpout {
-    fn open(&mut self, _ctx: &TopologyContext) {
-        self.started = Some(Instant::now());
-    }
-
-    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
-        if self.left == 0 {
-            return false;
-        }
-        let elapsed = self
-            .started
-            .map(|s| s.elapsed().as_secs_f64())
-            .unwrap_or(0.0);
-        if self.next_id as f64 >= elapsed * self.rate {
-            // Ahead of schedule; emit nothing and let the runtime nap.
-            return true;
-        }
-        self.left -= 1;
-        self.next_id += 1;
-        out.emit_with_id(Tuple::of([Value::from(self.next_id as i64)]), self.next_id);
-        true
-    }
-}
-
-/// Finite unpaced spout for the recompute arm: floods the whole prefix as
-/// fast as the runtime accepts it.
-struct FloodSpout {
-    left: u64,
-    next_id: u64,
-}
-
-impl Spout for FloodSpout {
-    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
-        if self.left == 0 {
-            return false;
-        }
-        self.left -= 1;
-        self.next_id += 1;
-        out.emit_with_id(Tuple::of([Value::from(self.next_id as i64)]), self.next_id);
-        true
-    }
-}
-
-/// Checkpointable counting bolt: the stateful operator every arm kills.
-/// Publishes its live count so the bench can read the operator's view of
-/// the stream after shutdown, and the count carried by the restored
-/// snapshot.
-struct StatefulCounter {
-    count: u64,
-    sum: u64,
-    delivered: Arc<AtomicU64>,
-    restored: Arc<AtomicU64>,
-}
-
-impl Bolt for StatefulCounter {
-    fn execute(&mut self, t: &Tuple, _o: &mut BoltOutput) {
-        self.count += 1;
-        self.sum += t.get(0).and_then(|v| v.as_i64()).unwrap_or(0) as u64;
-        self.delivered.store(self.count, Ordering::Relaxed);
-    }
-
-    fn stateful(&mut self) -> Option<&mut dyn StatefulComponent> {
-        Some(self)
-    }
-}
-
-impl StatefulComponent for StatefulCounter {
-    fn snapshot(&mut self) -> StateSnapshot {
-        StateSnapshot::encode(SnapshotKind::Full, &(self.count, self.sum))
-    }
-
-    fn restore(
-        &mut self,
-        base: &StateSnapshot,
-        deltas: &[StateSnapshot],
-    ) -> std::result::Result<(), String> {
-        if !deltas.is_empty() {
-            return Err("bench counter snapshots are full-only".into());
-        }
-        let (count, sum): (u64, u64) = base.decode()?;
-        self.count = count;
-        self.sum = sum;
-        self.delivered.store(count, Ordering::Relaxed);
-        self.restored.store(count, Ordering::Relaxed);
-        Ok(())
+        );
+        let encoding = obj([
+            ("binary_bytes_per_ckpt", fixed(binary, 1)),
+            ("json_bytes_per_ckpt", fixed(json, 1)),
+            ("reduction_pct", fixed(self.snapshot_reduction_pct(), 1)),
+        ]);
+        doc(
+            "bench_recovery/v1",
+            self.mode,
+            [
+                ("arms", obj(arms)),
+                ("recompute", recompute),
+                ("snapshot_encoding", encoding),
+            ],
+        )
     }
 }
 
@@ -299,21 +168,17 @@ fn fault_arm(
     panic_at_s: f64,
     json_snapshots: bool,
 ) -> RecoveryArm {
-    let delivered = Arc::new(AtomicU64::new(0));
-    let restored = Arc::new(AtomicU64::new(0));
-    let (d2, r2) = (delivered.clone(), restored.clone());
+    let probe = CounterProbe::default();
+    let p2 = probe.clone();
     let mut b = TopologyBuilder::new("rt-recovery");
-    b.set_spout("src", 1, move || PacedSpout::new(n, rate))
+    // Paced, one tuple per call at most, so the stream is still flowing
+    // when the wall-clock-scheduled panic fires.
+    b.set_spout("src", 1, move || BenchSpout::paced(rate, 1).bounded(n))
         .unwrap();
-    b.set_bolt("state", 1, move || StatefulCounter {
-        count: 0,
-        sum: 0,
-        delivered: d2.clone(),
-        restored: r2.clone(),
-    })
-    .unwrap()
-    .shuffle_grouping("src")
-    .unwrap();
+    b.set_bolt("state", 1, move || StatefulCounter::observed(p2.clone()))
+        .unwrap()
+        .shuffle_grouping("src")
+        .unwrap();
     let topo = b.build().unwrap();
 
     let mut cfg = EngineConfig::default().with_cluster(1, 2, 4);
@@ -336,14 +201,10 @@ fn fault_arm(
     // Sample the acked count at ~5 ms so the 250 ms windows around the
     // panic carry enough points for a throughput estimate.
     let mut samples: Vec<(f64, u64)> = Vec::with_capacity(4096);
-    let deadline = t0 + Duration::from_secs(30);
-    loop {
+    wait_until(Duration::from_secs(30), Duration::from_millis(5), || {
         samples.push((t0.elapsed().as_secs_f64(), running.acked()));
-        if running.acked() + running.permanently_failed() >= n || Instant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+        running.acked() + running.permanently_failed() >= n
+    });
     let (_, report) = running.shutdown();
 
     // Panic → restored wall clock, from the journal.  The nominal
@@ -355,13 +216,7 @@ fn fault_arm(
         .map(|e| e.time_s())
         .unwrap_or(panic_at_s);
     let restores = report.journal_of_kind("state_restored");
-    let recovery_ms = restores
-        .iter()
-        .map(|e| e.time_s())
-        .filter(|t| *t >= fault_t)
-        .fold(f64::NAN, f64::min)
-        .max(fault_t)
-        - fault_t;
+    let recovery_ms = ms_until_first(&restores, fault_t);
     let restore_ms = restores
         .iter()
         .filter_map(|e| match e {
@@ -380,7 +235,7 @@ fn fault_arm(
         0.0
     };
 
-    let final_count = delivered.load(Ordering::Relaxed);
+    let final_count = probe.delivered.load(Ordering::Relaxed);
     let error_pct = (final_count as f64 - n as f64).abs() / n as f64 * 100.0;
     let within_bound = match mode {
         RecoveryMode::ExactlyOnceEffect => final_count == n,
@@ -392,7 +247,7 @@ fn fault_arm(
         "  {:<20} recovery {:>8.1} ms  restore {:>7.3} ms  dip {:>6.1}%  \
          error {:>6.3}%  ({} ckpts, {} restores, {} skipped)",
         mode.as_str(),
-        recovery_ms * 1_000.0,
+        recovery_ms,
         restore_ms,
         dip_pct,
         error_pct,
@@ -403,7 +258,7 @@ fn fault_arm(
 
     RecoveryArm {
         mode: mode.as_str(),
-        recovery_ms: recovery_ms * 1_000.0,
+        recovery_ms,
         restore_ms,
         restores: report.restores,
         checkpoints: report.checkpoints_taken,
@@ -413,7 +268,7 @@ fn fault_arm(
         result_error_pct: error_pct,
         approx_skipped: report.approx_skipped,
         within_bound,
-        restored_count: restored.load(Ordering::Relaxed),
+        restored_count: probe.restored.load(Ordering::Relaxed),
     }
 }
 
@@ -422,34 +277,22 @@ fn fault_arm(
 /// topology with checkpoints off.  This is what recovery costs without a
 /// snapshot to restore from.
 fn recompute_rebuild(prefix: u64) -> f64 {
-    let delivered = Arc::new(AtomicU64::new(0));
-    let restored = Arc::new(AtomicU64::new(0));
-    let (d2, r2) = (delivered.clone(), restored.clone());
     let mut b = TopologyBuilder::new("rt-recompute");
-    b.set_spout("src", 1, move || FloodSpout {
-        left: prefix,
-        next_id: 0,
-    })
-    .unwrap();
-    b.set_bolt("state", 1, move || StatefulCounter {
-        count: 0,
-        sum: 0,
-        delivered: d2.clone(),
-        restored: r2.clone(),
-    })
-    .unwrap()
-    .shuffle_grouping("src")
-    .unwrap();
+    b.set_spout("src", 1, move || BenchSpout::flood(1).bounded(prefix))
+        .unwrap();
+    b.set_bolt("state", 1, StatefulCounter::default)
+        .unwrap()
+        .shuffle_grouping("src")
+        .unwrap();
     let topo = b.build().unwrap();
     let mut cfg = EngineConfig::default().with_cluster(1, 2, 4);
     cfg.max_spout_pending = 16 * 1024;
 
     let t0 = Instant::now();
     let running = rt::submit_with(topo, cfg, RtConfig::default()).unwrap();
-    let deadline = t0 + Duration::from_secs(30);
-    while running.acked() < prefix && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_until(Duration::from_secs(30), Duration::from_millis(1), || {
+        running.acked() >= prefix
+    });
     let rebuild_ms = t0.elapsed().as_secs_f64() * 1_000.0;
     running.shutdown();
     rebuild_ms
@@ -483,45 +326,30 @@ pub fn run(smoke: bool) -> RecoveryResults {
     // JSON snapshot fallback and compare average bytes per checkpoint
     // against the default binary encoding above.
     let json_arm = fault_arm(RecoveryMode::ExactlyOnceEffect, n, rate, panic_at_s, true);
-    let per_ckpt = |bytes: u64, ckpts: u64| bytes as f64 / ckpts.max(1) as f64;
-    let binary_bytes_per_ckpt = arms
-        .iter()
-        .find(|a| a.mode == "exactly_once_effect")
-        .map(|a| per_ckpt(a.snapshot_bytes, a.checkpoints))
-        .unwrap_or(0.0);
-    let json_bytes_per_ckpt = per_ckpt(json_arm.snapshot_bytes, json_arm.checkpoints);
-    println!(
-        "  {:<20} binary {:.1} B/ckpt vs json {:.1} B/ckpt ({:.1}% smaller)",
-        "snapshot encoding",
-        binary_bytes_per_ckpt,
-        json_bytes_per_ckpt,
-        if json_bytes_per_ckpt > 0.0 {
-            (1.0 - binary_bytes_per_ckpt / json_bytes_per_ckpt) * 100.0
-        } else {
-            0.0
-        }
-    );
-
-    let prefix = arms
-        .iter()
-        .find(|a| a.mode == "exactly_once_effect")
-        .map(|a| a.restored_count)
-        .unwrap_or(0)
-        .max(1);
-    let recompute_rebuild_ms = recompute_rebuild(prefix);
-    println!(
-        "  {:<20} rebuild  {:>8.1} ms  ({prefix} tuples re-acked, checkpoints off)",
-        "recompute", recompute_rebuild_ms
-    );
-
-    RecoveryResults {
+    let per_ckpt = |a: &RecoveryArm| a.snapshot_bytes as f64 / a.checkpoints.max(1) as f64;
+    let exact = arms.iter().find(|a| a.mode == "exactly_once_effect");
+    let binary_bytes_per_ckpt = exact.map_or(0.0, per_ckpt);
+    let prefix = exact.map_or(0, |a| a.restored_count).max(1);
+    let res = RecoveryResults {
         mode: if smoke { "smoke" } else { "full" },
         arms,
         recompute_prefix: prefix,
-        recompute_rebuild_ms,
+        recompute_rebuild_ms: recompute_rebuild(prefix),
         snapshot_binary_bytes_per_ckpt: binary_bytes_per_ckpt,
-        snapshot_json_bytes_per_ckpt: json_bytes_per_ckpt,
-    }
+        snapshot_json_bytes_per_ckpt: per_ckpt(&json_arm),
+    };
+    println!(
+        "  {:<20} binary {:.1} B/ckpt vs json {:.1} B/ckpt ({:.1}% smaller)",
+        "snapshot encoding",
+        res.snapshot_binary_bytes_per_ckpt,
+        res.snapshot_json_bytes_per_ckpt,
+        res.snapshot_reduction_pct()
+    );
+    println!(
+        "  {:<20} rebuild  {:>8.1} ms  ({prefix} tuples re-acked, checkpoints off)",
+        "recompute", res.recompute_rebuild_ms
+    );
+    res
 }
 
 /// CI recovery gate: every guarantee must actually checkpoint, restore and
@@ -681,13 +509,15 @@ mod tests {
 
     #[test]
     fn json_is_well_shaped() {
-        let json = passing_results().to_json();
-        assert!(json.contains("\"schema\": \"bench_recovery/v1\""));
-        assert!(json.contains("\"exactly_once_effect\""));
-        assert!(json.contains("\"rebuild_ms\": 35.00"));
-        assert!(json.contains("\"within_bound\": true"));
-        assert!(json.contains("\"snapshot_encoding\""));
-        assert!(json.contains("\"reduction_pct\": 57.1"));
+        use crate::report::{get, number};
+        let doc = passing_results().doc();
+        let within = get(&doc, &["arms", "exactly_once_effect", "within_bound"]);
+        assert_eq!(within, Some(&JsonValue::Bool(true)));
+        assert_eq!(number(&doc, &["recompute", "rebuild_ms"]), Some(35.0));
+        let reduction = number(&doc, &["snapshot_encoding", "reduction_pct"]);
+        assert_eq!(reduction, Some(57.1));
+        // Resolving the gate keys of `bench_recovery/v1` also pins the schema.
+        crate::report::tests::assert_round_trips(&doc);
     }
 
     #[test]

@@ -14,12 +14,15 @@
 
 use std::time::Instant;
 
-use dsdps::component::{Bolt, BoltOutput, Spout, SpoutOutput};
 use dsdps::config::EngineConfig;
 use dsdps::rt::RtConfig;
 use dsdps::sim::SimRuntime;
 use dsdps::topology::{CostModel, TopologyBuilder};
 use dsdps::tuple::{Fields, Tuple, Value};
+use serde::{JsonValue, Serialize};
+
+use crate::fixtures::{BenchSpout, Blackhole};
+use crate::report::{doc, fixed, number, obj};
 
 /// Worker counts swept by the grid.
 pub const WORKER_POINTS: [usize; 3] = [10, 100, 1000];
@@ -60,30 +63,6 @@ pub struct SimResults {
     pub points: Vec<SimPoint>,
 }
 
-struct Firehose {
-    remaining: u64,
-    next_id: u64,
-    proto: Tuple,
-}
-
-impl Spout for Firehose {
-    fn next_tuple(&mut self, out: &mut SpoutOutput) -> bool {
-        if self.remaining == 0 {
-            return false;
-        }
-        self.remaining -= 1;
-        self.next_id += 1;
-        out.emit_with_id(self.proto.clone(), self.next_id);
-        true
-    }
-}
-
-struct Blackhole;
-
-impl Bolt for Blackhole {
-    fn execute(&mut self, _t: &Tuple, _o: &mut BoltOutput) {}
-}
-
 /// Runs one grid point and returns its measurements.
 pub fn run_point(workers: usize, tuples: u64) -> SimPoint {
     // One spout per ten workers keeps the spout side from becoming the
@@ -94,13 +73,11 @@ pub fn run_point(workers: usize, tuples: u64) -> SimPoint {
     let proto = Tuple::with_fields([Value::from(1i64)], schema.clone());
 
     let mut b = TopologyBuilder::new("sim-scaling");
-    b.set_spout("src", spouts, move || Firehose {
-        remaining: share,
-        next_id: 0,
-        proto: proto.clone(),
+    b.set_spout("src", spouts, move || {
+        BenchSpout::flood(1).bounded(share).emitting(proto.clone())
     })
     .unwrap()
-    .output_fields(schema.clone())
+    .output_fields(schema)
     .cost(CostModel {
         base_service_time_us: 1.0,
         jitter: 0.0,
@@ -180,118 +157,56 @@ pub fn run(smoke: bool) -> SimResults {
 }
 
 impl SimResults {
-    /// Renders the sweep as `bench_sim/v1` JSON.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"bench_sim/v1\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str("  \"points\": {\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\": {{\"workers\": {}, \"tuples\": {}, \"acked\": {}, \"processed\": {}, \"wall_s\": {:.4}, \"virtual_s\": {:.4}, \"processed_per_wall_s\": {:.1}}}{}\n",
-                p.key,
-                p.workers,
-                p.tuples,
-                p.acked,
-                p.processed,
-                p.wall_s,
-                p.virtual_s,
-                p.processed_per_wall_s,
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
-        }
-        s.push_str("  }\n");
-        s.push_str("}\n");
-        s
+    /// The `BENCH_sim.json` document (`bench_sim/v1`).
+    pub fn doc(&self) -> JsonValue {
+        let points = self.points.iter().map(|p| {
+            let point = obj([
+                ("workers", p.workers.serialize_value()),
+                ("tuples", p.tuples.serialize_value()),
+                ("acked", p.acked.serialize_value()),
+                ("processed", p.processed.serialize_value()),
+                ("wall_s", fixed(p.wall_s, 4)),
+                ("virtual_s", fixed(p.virtual_s, 4)),
+                ("processed_per_wall_s", fixed(p.processed_per_wall_s, 1)),
+            ]);
+            (p.key.as_str(), point)
+        });
+        doc("bench_sim/v1", &self.mode, [("points", obj(points))])
     }
-}
-
-/// Writes `BENCH_sim.json` at the repo root; returns the path written.
-pub fn write_sim_json(res: &SimResults) -> std::io::Result<&'static str> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
-    std::fs::write(path, res.to_json())?;
-    Ok(path)
 }
 
 /// The gate point: the acceptance headline is measured at `w100 × 1e7`.
 pub const GATE_POINT: &str = "w100_t1e7";
 
-/// Extracts `(processed_per_wall_s, acked, tuples)` for `point` from a
-/// `bench_sim/v1` document.
-fn sim_point_stats(json: &str, point: &str) -> Option<(f64, u64, u64)> {
-    use serde::JsonValue;
-    let as_f64 = |v: &JsonValue| -> Option<f64> {
-        match *v {
-            JsonValue::F64(x) => Some(x),
-            JsonValue::I64(x) => Some(x as f64),
-            JsonValue::U64(x) => Some(x as f64),
-            _ => None,
-        }
-    };
-    let root = serde_json::parse(json).ok()?;
-    let JsonValue::Object(fields) = root else {
-        return None;
-    };
-    let points = fields.iter().find(|(k, _)| k == "points")?;
-    let JsonValue::Object(points) = &points.1 else {
-        return None;
-    };
-    let entry = points.iter().find(|(k, _)| k == point)?;
-    let JsonValue::Object(entry) = &entry.1 else {
-        return None;
-    };
-    let field = |name: &str| -> Option<f64> {
-        entry
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|kv| as_f64(&kv.1))
-    };
-    Some((
-        field("processed_per_wall_s")?,
-        field("acked")? as u64,
-        field("tuples")? as u64,
-    ))
-}
-
 /// Regression gate for CI: fails if the fresh `w100_t1e7` wall throughput is
 /// more than 20 % below the checked-in smoke baseline, or if the run did not
 /// actually ack every tuple (which would make the throughput claim void).
-pub fn check_sim_baseline(fresh_json: &str, baseline_json: &str) -> Result<(), String> {
-    let (fresh_rate, acked, tuples) = sim_point_stats(fresh_json, GATE_POINT)
-        .ok_or_else(|| format!("sim gate: fresh BENCH_sim.json is missing point {GATE_POINT}"))?;
-    if tuples == 0 || acked < tuples {
+pub fn check_sim_baseline(fresh: &JsonValue, baseline: &JsonValue) -> Result<(), String> {
+    let stat = |key| number(fresh, &["points", GATE_POINT, key]);
+    let (Some(acked), Some(tuples)) = (stat("acked"), stat("tuples")) else {
+        return Err(format!(
+            "sim gate: fresh BENCH_sim.json is missing point {GATE_POINT}"
+        ));
+    };
+    if tuples == 0.0 || acked < tuples {
         return Err(format!(
             "sim gate: only {acked}/{tuples} tuples acked at {GATE_POINT} — \
              the throughput comparison is void"
         ));
     }
-    let (baseline_rate, _, _) = sim_point_stats(baseline_json, GATE_POINT)
-        .ok_or_else(|| format!("sim gate: baseline is missing point {GATE_POINT}"))?;
-    let floor = baseline_rate * 0.8;
-    if fresh_rate < floor {
-        return Err(format!(
-            "sim gate: {GATE_POINT} advanced {:.2}M processed tuples/s of wall time, more than \
-             20% below the smoke baseline {:.2}M/s (floor {:.2}M/s)",
-            fresh_rate / 1e6,
-            baseline_rate / 1e6,
-            floor / 1e6,
-        ));
-    }
-    println!(
-        "sim gate: {GATE_POINT} {:.2}M processed/s >= floor {:.2}M/s (baseline {:.2}M/s) -- ok",
-        fresh_rate / 1e6,
-        floor / 1e6,
-        baseline_rate / 1e6,
-    );
-    Ok(())
+    crate::report::throughput_floor(
+        "sim",
+        fresh,
+        baseline,
+        &["points", GATE_POINT, "processed_per_wall_s"],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(rate: f64, acked: u64, tuples: u64) -> String {
+    fn doc(rate: f64, acked: u64, tuples: u64) -> JsonValue {
         let res = SimResults {
             mode: "smoke".to_owned(),
             points: vec![SimPoint {
@@ -305,7 +220,7 @@ mod tests {
                 processed_per_wall_s: rate,
             }],
         };
-        res.to_json()
+        res.doc()
     }
 
     #[test]
@@ -331,7 +246,8 @@ mod tests {
 
     #[test]
     fn gate_reports_missing_point() {
-        let err = check_sim_baseline("{}", "{}").unwrap_err();
+        let empty = obj::<&str>([]);
+        let err = check_sim_baseline(&empty, &empty).unwrap_err();
         assert!(err.contains(GATE_POINT), "{err}");
     }
 
@@ -343,10 +259,11 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_gate_parser() {
-        let json = doc(12.5e6, 10_000_000, 10_000_000);
-        let (rate, acked, tuples) = sim_point_stats(&json, GATE_POINT).unwrap();
-        assert!((rate - 12.5e6).abs() < 1.0);
-        assert_eq!(acked, 10_000_000);
-        assert_eq!(tuples, 10_000_000);
+        let doc = doc(12.5e6, 10_000_000, 10_000_000);
+        let point = |key| number(&doc, &["points", GATE_POINT, key]);
+        assert_eq!(point("processed_per_wall_s"), Some(12.5e6));
+        assert_eq!(point("acked"), Some(10_000_000.0));
+        assert_eq!(point("tuples"), Some(10_000_000.0));
+        crate::report::tests::assert_round_trips(&doc);
     }
 }

@@ -988,7 +988,7 @@ fn supervisor_loop(fleet: Arc<Fleet>) {
 /// worker will resolve it) to a fleet of worker processes.
 ///
 /// Blocks until every worker has connected and been assigned, or
-/// [`DistConfig::connect_timeout`] expires.
+/// [`CONNECT_TIMEOUT`](super::CONNECT_TIMEOUT) expires.
 pub fn submit(
     registry: &TopologyRegistry,
     topology_name: &str,
@@ -1137,7 +1137,7 @@ pub fn submit(
     // running; their tuples wait in the outbound queues until then.
     let fleet = Arc::clone(&running.fleet);
     let launched = (0..fleet.slots.len()).try_for_each(|i| fleet.spawn_worker(i));
-    let deadline = Instant::now() + fleet.cfg.connect_timeout;
+    let deadline = Instant::now() + super::CONNECT_TIMEOUT;
     let all_connected = || {
         fleet
             .slots
@@ -1160,7 +1160,7 @@ pub fn submit(
     Err(Error::Runtime(format!(
         "only {connected}/{} workers connected within {:?}",
         fleet.slots.len(),
-        fleet.cfg.connect_timeout
+        super::CONNECT_TIMEOUT
     )))
 }
 
@@ -1290,7 +1290,7 @@ impl RunningDist {
         self.rt().drain();
         // Drain: nudge workers to checkpoint + flush deferred acks until
         // every tree settles or the budget expires.
-        let deadline = Instant::now() + fleet.cfg.drain_timeout;
+        let deadline = Instant::now() + super::DRAIN_TIMEOUT;
         let mut seq = 0;
         let drained_clean = loop {
             if fleet.quiesced() {

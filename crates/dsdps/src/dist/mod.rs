@@ -64,6 +64,13 @@ use serde::{Deserialize, Serialize};
 use crate::rt::RecoveryMode;
 use crate::telemetry::SpanKind;
 
+/// How long spawn + connect + hello may take per worker, and how long a
+/// worker waits to reach its coordinator.
+pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long shutdown waits for in-flight trees to drain to zero.
+pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Deployment knobs of the distributed backend.  Everything about *what*
 /// runs (batching, credit windows, checkpoints, recovery guarantee) stays
 /// in [`RtConfig`](crate::rt::RtConfig); this only describes the worker
@@ -78,13 +85,9 @@ pub struct DistConfig {
     /// environment; the binary must call
     /// [`maybe_worker_from_env`] with a registry containing the topology.
     pub worker_cmd: Vec<String>,
-    /// How long spawn + connect + hello may take per worker.
-    pub connect_timeout: Duration,
     /// Respawn budget per worker slot; beyond it the slot stays down and
     /// its in-flight trees fail into replay/`permanently_failed`.
     pub max_worker_restarts: u32,
-    /// How long shutdown waits for in-flight trees to drain to zero.
-    pub drain_timeout: Duration,
 }
 
 impl DistConfig {
@@ -93,27 +96,13 @@ impl DistConfig {
         DistConfig {
             workers: workers.max(1),
             worker_cmd,
-            connect_timeout: Duration::from_secs(10),
             max_worker_restarts: 3,
-            drain_timeout: Duration::from_secs(10),
         }
-    }
-
-    /// Sets the per-worker spawn/connect budget.
-    pub fn with_connect_timeout(mut self, t: Duration) -> Self {
-        self.connect_timeout = t;
-        self
     }
 
     /// Sets the respawn budget per worker slot.
     pub fn with_max_worker_restarts(mut self, n: u32) -> Self {
         self.max_worker_restarts = n;
-        self
-    }
-
-    /// Sets the shutdown drain budget.
-    pub fn with_drain_timeout(mut self, t: Duration) -> Self {
-        self.drain_timeout = t;
         self
     }
 }

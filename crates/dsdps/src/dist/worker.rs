@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use super::codec::{Frame, InternTable, WireEmission, WireMetric, WireResult, WireSpan};
 use super::transport::{Conn, ConnStats, Endpoint, FrameReader, FrameWriter};
-use super::{recovery_from_byte, span_kind_to_byte, DistConfig, LastWordsLine};
+use super::{recovery_from_byte, span_kind_to_byte, LastWordsLine, CONNECT_TIMEOUT};
 use crate::component::{Bolt, BoltOutput, Emission, TopologyContext};
 use crate::error::{Error, Result};
 use crate::rt::{RecoveryMode, SnapshotKind, StateSnapshot};
@@ -164,7 +164,7 @@ pub fn worker_main(registry: &TopologyRegistry, endpoint: &Endpoint, worker: u32
     // instant.  Its reading travels in `Hello` so the coordinator can
     // estimate the offset to its own span clock and re-base shipped spans.
     let t0 = Instant::now();
-    let conn = Conn::connect(endpoint, DistConfig::new(1, vec![]).connect_timeout)?;
+    let conn = Conn::connect(endpoint, CONNECT_TIMEOUT)?;
     let writer_conn = conn
         .try_clone()
         .map_err(|e| Error::Runtime(format!("clone socket: {e}")))?;

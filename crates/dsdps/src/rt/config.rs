@@ -7,6 +7,24 @@ use std::time::Duration;
 use super::checkpoint::RecoveryMode;
 use crate::error::{Error, Result};
 
+/// Floor of the adaptive spout rate cap, tuples/s.  The cap has no ceiling:
+/// it starts uncapped (`INFINITY`).
+pub(crate) const THROTTLE_MIN_RATE: f64 = 100.0;
+/// Growth of the adaptive rate cap per interval whose queue wait sits
+/// comfortably under target, tuples/s.
+pub(crate) const THROTTLE_ADDITIVE_INCREASE: f64 = 500.0;
+/// Factor the adaptive rate cap is multiplied by when queue wait exceeds
+/// the target.
+pub(crate) const THROTTLE_DECREASE_FACTOR: f64 = 0.5;
+/// Every Nth checkpoint of a task incarnation is a full snapshot; the ones
+/// between are incremental deltas when the component supports them.  The
+/// first checkpoint of every incarnation is always full.
+pub(crate) const CHECKPOINT_FULL_EVERY: u64 = 4;
+/// Under [`RecoveryMode::ExactlyOnceEffect`], a checkpoint is forced early
+/// once this many inputs accumulate in the task's input log, bounding
+/// replay-log memory between interval ticks.
+pub(crate) const CHECKPOINT_LOG_HIGH_WATER: usize = 8192;
+
 /// Tuning parameters for the threaded runtime: tuple batching, task
 /// supervision, and end-to-end replay.
 ///
@@ -45,13 +63,10 @@ use crate::error::{Error, Result};
 /// [`adaptive_throttle`](Self::adaptive_throttle) runs an AIMD controller
 /// over the per-interval queue-wait p99 observed by the telemetry registry:
 /// above [`throttle_target_queue_wait`](Self::throttle_target_queue_wait)
-/// the global spout rate cap is multiplied by
-/// [`throttle_decrease_factor`](Self::throttle_decrease_factor); well below
-/// it, the cap grows by
-/// [`throttle_additive_increase`](Self::throttle_additive_increase) per
-/// interval.  Both features default **off**: the stock behavior is the
-/// bounded-channel blocking send plus the `EngineConfig::max_spout_pending`
-/// in-flight gate, unchanged.
+/// the global spout rate cap is halved (never below 100 tuples/s); well
+/// below it, the cap grows by 500 tuples/s per interval.  Both features
+/// default **off**: the stock behavior is the bounded-channel blocking send
+/// plus the `EngineConfig::max_spout_pending` in-flight gate, unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtConfig {
     /// Maximum tuples per output batch (per destination task).  Must be at
@@ -107,17 +122,6 @@ pub struct RtConfig {
     /// AIMD setpoint: a per-interval queue-wait p99 above this triggers a
     /// multiplicative decrease of the spout rate cap.
     pub throttle_target_queue_wait: Duration,
-    /// Floor of the adaptive rate cap, tuples/s.
-    pub throttle_min_rate: f64,
-    /// Ceiling of the adaptive rate cap, tuples/s (`INFINITY` = none; the
-    /// cap starts here, i.e. uncapped by default).
-    pub throttle_max_rate: f64,
-    /// Additive increase of the cap per interval when queue wait is
-    /// comfortably under target, tuples/s.
-    pub throttle_additive_increase: f64,
-    /// Multiplicative decrease factor applied when queue wait exceeds the
-    /// target; must be in `(0, 1)`.
-    pub throttle_decrease_factor: f64,
     /// Enable periodic checkpoints of stateful tasks (bolts whose
     /// [`Bolt::stateful`](crate::component::Bolt::stateful) returns a
     /// [`StatefulComponent`](super::checkpoint::StatefulComponent)).  Off
@@ -127,13 +131,10 @@ pub struct RtConfig {
     /// Interval between checkpoints of one task.  Checkpoints are taken
     /// cooperatively on the task's own thread at batch boundaries, right
     /// after the batch's acks are applied, so the snapshot is aligned with
-    /// the acked frontier.
+    /// the acked frontier.  Every fourth checkpoint of an incarnation is
+    /// full, the ones between are deltas; under exactly-once effect a
+    /// checkpoint is also forced once 8192 inputs are logged.
     pub checkpoint_interval: Duration,
-    /// Take a full snapshot every Nth checkpoint; the intervening ones are
-    /// incremental deltas when the component supports them.  `1` makes
-    /// every checkpoint full.  The first checkpoint of every task
-    /// incarnation is always full.
-    pub checkpoint_full_every: u32,
     /// Snapshot payloads larger than this many bytes spill to
     /// [`checkpoint_spill_dir`](Self::checkpoint_spill_dir) instead of
     /// staying in memory (no effect when the dir is unset).
@@ -141,10 +142,6 @@ pub struct RtConfig {
     /// Directory for spilled snapshot payloads (`None`, the default,
     /// keeps everything in memory).
     pub checkpoint_spill_dir: Option<PathBuf>,
-    /// Under [`RecoveryMode::ExactlyOnceEffect`], a checkpoint is forced
-    /// early once this many inputs accumulate in the task's input log,
-    /// bounding replay-log memory between interval ticks.
-    pub checkpoint_log_high_water: usize,
     /// What a restart of a stateful task guarantees; see [`RecoveryMode`].
     /// Only meaningful with [`checkpoints`](Self::checkpoints) on.
     pub recovery_mode: RecoveryMode,
@@ -173,16 +170,10 @@ impl Default for RtConfig {
             shed_on_overload: false,
             adaptive_throttle: false,
             throttle_target_queue_wait: Duration::from_millis(5),
-            throttle_min_rate: 100.0,
-            throttle_max_rate: f64::INFINITY,
-            throttle_additive_increase: 500.0,
-            throttle_decrease_factor: 0.5,
             checkpoints: false,
             checkpoint_interval: Duration::from_millis(500),
-            checkpoint_full_every: 4,
             checkpoint_spill_threshold: 1 << 20,
             checkpoint_spill_dir: None,
-            checkpoint_log_high_water: 8192,
             recovery_mode: RecoveryMode::AtLeastOnce,
             json_snapshots: false,
         }
@@ -273,34 +264,11 @@ impl RtConfig {
         self
     }
 
-    /// Returns the config with the given adaptive rate-cap floor and
-    /// ceiling (tuples/s; `f64::INFINITY` for no ceiling).
-    pub fn with_throttle_bounds(mut self, min_rate: f64, max_rate: f64) -> Self {
-        self.throttle_min_rate = min_rate;
-        self.throttle_max_rate = max_rate;
-        self
-    }
-
-    /// Returns the config with the given AIMD parameters: additive
-    /// increase (tuples/s per interval) and multiplicative decrease factor.
-    pub fn with_throttle_aimd(mut self, additive_increase: f64, decrease_factor: f64) -> Self {
-        self.throttle_additive_increase = additive_increase;
-        self.throttle_decrease_factor = decrease_factor;
-        self
-    }
-
     /// Returns the config with periodic checkpoints on at the given
     /// interval.
     pub fn with_checkpoints(mut self, interval: Duration) -> Self {
         self.checkpoints = true;
         self.checkpoint_interval = interval;
-        self
-    }
-
-    /// Returns the config taking a full snapshot every `n`th checkpoint
-    /// (deltas in between, for components that support them).
-    pub fn with_checkpoint_full_every(mut self, n: u32) -> Self {
-        self.checkpoint_full_every = n;
         self
     }
 
@@ -382,40 +350,10 @@ impl RtConfig {
                     .into(),
             ));
         }
-        if !(self.throttle_min_rate.is_finite() && self.throttle_min_rate > 0.0) {
-            return Err(Error::Config(
-                "rt throttle_min_rate must be positive and finite".into(),
-            ));
-        }
-        if self.throttle_max_rate < self.throttle_min_rate {
-            return Err(Error::Config(
-                "rt throttle_max_rate must be at least throttle_min_rate".into(),
-            ));
-        }
-        if !(self.throttle_additive_increase.is_finite() && self.throttle_additive_increase > 0.0) {
-            return Err(Error::Config(
-                "rt throttle_additive_increase must be positive and finite".into(),
-            ));
-        }
-        if !(self.throttle_decrease_factor > 0.0 && self.throttle_decrease_factor < 1.0) {
-            return Err(Error::Config(
-                "rt throttle_decrease_factor must be in (0, 1)".into(),
-            ));
-        }
         if self.checkpoints {
             if self.checkpoint_interval.is_zero() {
                 return Err(Error::Config(
                     "rt checkpoint_interval must be positive when checkpoints are on".into(),
-                ));
-            }
-            if self.checkpoint_full_every == 0 {
-                return Err(Error::Config(
-                    "rt checkpoint_full_every must be at least 1".into(),
-                ));
-            }
-            if self.checkpoint_log_high_water == 0 {
-                return Err(Error::Config(
-                    "rt checkpoint_log_high_water must be at least 1".into(),
                 ));
             }
         } else if self.recovery_mode != RecoveryMode::AtLeastOnce {
@@ -553,10 +491,8 @@ mod tests {
 
         let on = RtConfig::default()
             .with_checkpoints(Duration::from_millis(100))
-            .with_checkpoint_full_every(3)
             .with_recovery_mode(RecoveryMode::ExactlyOnceEffect);
         assert!(on.checkpoints);
-        assert_eq!(on.checkpoint_full_every, 3);
         assert!(on.validate().is_ok());
 
         // Stronger guarantees without checkpoints make no sense.
@@ -574,12 +510,6 @@ mod tests {
             .with_checkpoints(Duration::ZERO)
             .validate()
             .is_err());
-        let mut zero_full = RtConfig::default().with_checkpoints(Duration::from_millis(100));
-        zero_full.checkpoint_full_every = 0;
-        assert!(zero_full.validate().is_err());
-        let mut zero_hw = RtConfig::default().with_checkpoints(Duration::from_millis(100));
-        zero_hw.checkpoint_log_high_water = 0;
-        assert!(zero_hw.validate().is_err());
     }
 
     #[test]

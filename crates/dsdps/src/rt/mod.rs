@@ -993,9 +993,8 @@ fn submit_inner(
         tracer,
         journal: Arc::clone(&journal),
         credits: rt_config.credit_flow.then(|| CreditLedger::new(n_tasks)),
-        // The cap starts at the configured ceiling — INFINITY (uncapped) by
-        // default, so stock runs never see the token bucket.
-        rate_cap_bits: AtomicU64::new(rt_config.throttle_max_rate.to_bits()),
+        // The cap starts uncapped, so stock runs never see the token bucket.
+        rate_cap_bits: AtomicU64::new(f64::INFINITY.to_bits()),
         shed_batches_total: AtomicU64::new(0),
         shed_tuples_total: AtomicU64::new(0),
         queue_wait: (0..n_tasks)
@@ -1320,16 +1319,15 @@ fn submit_inner(
                             cap
                         } else {
                             (topo_stats.spout_emitted as f64 / interval_s)
-                                .max(shared.rt.throttle_min_rate)
+                                .max(config::THROTTLE_MIN_RATE)
                         };
-                        let new_cap = (base * shared.rt.throttle_decrease_factor)
-                            .clamp(shared.rt.throttle_min_rate, shared.rt.throttle_max_rate);
+                        let new_cap = (base * config::THROTTLE_DECREASE_FACTOR)
+                            .max(config::THROTTLE_MIN_RATE);
                         if new_cap != cap {
                             shared.set_rate_cap(new_cap, "aimd");
                         }
                     } else if cap.is_finite() && qw_p99_us < target_us / 2.0 {
-                        let new_cap = (cap + shared.rt.throttle_additive_increase)
-                            .min(shared.rt.throttle_max_rate);
+                        let new_cap = cap + config::THROTTLE_ADDITIVE_INCREASE;
                         if new_cap != cap {
                             shared.set_rate_cap(new_cap, "aimd");
                         }

@@ -276,7 +276,7 @@ impl CkptState {
 /// Takes one checkpoint of a stateful bolt when the interval (or the
 /// exactly-once input-log high-water mark, or `force`) says it is due, then
 /// releases the acks deferred since the previous snapshot into `ops`.  The
-/// snapshot is full every [`RtConfig::checkpoint_full_every`](super::RtConfig)
+/// snapshot is full every [`CHECKPOINT_FULL_EVERY`](super::config::CHECKPOINT_FULL_EVERY)
 /// deposits (and always on the first of an incarnation, or when the
 /// component has no delta to offer); otherwise an incremental delta.
 fn maybe_checkpoint(
@@ -293,7 +293,7 @@ fn maybe_checkpoint(
     };
     let due = force
         || ck.last.elapsed() >= shared.rt.checkpoint_interval
-        || ck.log_len >= shared.rt.checkpoint_log_high_water;
+        || ck.log_len >= super::config::CHECKPOINT_LOG_HIGH_WATER;
     if !due {
         return;
     }
@@ -304,7 +304,7 @@ fn maybe_checkpoint(
     let taken_at_s = shared.now_s();
     let want_full = ck
         .count
-        .is_multiple_of(shared.rt.checkpoint_full_every as u64);
+        .is_multiple_of(super::config::CHECKPOINT_FULL_EVERY);
     let (snap, is_full) = if want_full {
         (sc.snapshot(), true)
     } else {
